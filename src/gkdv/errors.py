@@ -56,7 +56,7 @@ class DegenerateConfigurationError(GkdvError, RuntimeError):
 
 
 class SpectralFailureError(GkdvError, RuntimeError):
-    """Dense symmetric eigensolver failed to converge."""
+    """Lanczos eigensolver failed to converge."""
 
 
 class ConfigValidationError(GkdvError, ValueError):

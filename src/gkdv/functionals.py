@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
@@ -301,69 +301,76 @@ def linearized_energy_form(eps: Field, dec_or_state, params: ModelParams) -> flo
     return h * float(np.sum(ex * ex - params.p * R ** (params.p - 1) * eps.values**2))
 
 
-def _second_derivative_matrix(grid: Grid) -> np.ndarray:
-    """Dense matrix of -d2/dx2 as the square of the spectral first derivative.
-
-    The symbol is k^2 with the Nyquist entry zeroed, which makes the matrix
-    exactly D^T D for the first-derivative matrix D used by the quadrature
-    forms, so discrete form values and matrix quadratic forms agree to
-    round-off for every vector.
-    """
-    k = grid.wavenumbers
-    sym = k**2
-    if grid.n % 2 == 0:
-        sym = sym.copy()
-        sym[-1] = 0.0
-    kernel = np.fft.irfft(sym, grid.n)
-    return scipy.linalg.circulant(kernel)
-
-
 @dataclass
 class SpectrumResult:
     lambda_min: float
     eigenvector: Field
     constrained: bool
+    eigen_residual: float  # ||(operator - lambda) w|| for the unit Lanczos vector w
+    matvecs: int  # operator applications
+    constraint_residuals: dict | None  # max |h<v, Q_{c_j}>|, max |h<v, d_x Q_{c_j}>|
 
 
 def constrained_spectrum(dec_or_state, w: PsiWeight, params: ModelParams,
                          grid: Grid, constrained: bool = True) -> SpectrumResult:
-    """Smallest eigenvalue of -d2/dx2 - p R^(p-1) + c(x) relative to the H1
+    """Smallest eigenvalue of H = -d2/dx2 - p R^(p-1) + c(x) relative to the H1
     inner product, optionally restricted to the orthocomplement of every
-    profile and profile slope."""
+    profile and profile slope.
+
+    With S = (1 - d2/dx2)^(-1/2), diagonal in Fourier space, the pencil becomes
+    A w = lambda w with A = S H S and v = S w. Lanczos runs on P A P + sigma Q Q^T,
+    Q an orthonormal basis of S C for the constraint columns C, P = I - Q Q^T;
+    sigma = 1 + max|V| >= ||A|| lifts span(Q) to the top of the spectrum.
+    """
     state = _state_of(dec_or_state)
     _require_sorted_positions(state)
     n = grid.n
-    D2 = _second_derivative_matrix(grid)
+    k2 = grid.wavenumbers**2
+    k2[-1] = 0.0  # Nyquist; grid sizes are even
+    s_hat = 1.0 / np.sqrt(1.0 + k2)
     R = _profile_sum(state, params, grid)
     V = -params.p * R ** (params.p - 1) + speed_ramp(state, w, grid)
-    H = D2 + np.diag(V)
-    M = np.eye(n) + D2
-
+    sigma = 1.0 + float(np.max(np.abs(V)))
+    Q = np.zeros((n, 0))
     if constrained:
         cols = []
         for c, x0 in zip(state.speeds, state.positions):
             y = grid.wrap(grid.x - x0)
-            cols.append(eval_Qc(params.p, c, y))
-            cols.append(eval_Qc(params.p, c, y, 1))
+            cols += [eval_Qc(params.p, c, y), eval_Qc(params.p, c, y, 1)]
         C = np.stack(cols, axis=1)
-        Z = scipy.linalg.null_space(C.T)
-        A = Z.T @ (H @ Z)
-        B = Z.T @ (M @ Z)
-    else:
-        Z = None
-        A, B = H, M
+        Q = np.linalg.qr(np.fft.irfft(s_hat[:, None] * np.fft.rfft(C, axis=0), n, axis=0))[0]
+    matvecs, best = 0, math.inf  # best: smallest Rayleigh residual, reported on failure
 
+    def matvec(x):
+        nonlocal matvecs, best
+        matvecs += 1
+        x = np.ravel(x)
+        Qx = Q @ (Q.T @ x)
+        xh = np.fft.rfft(x - Qx)
+        Sx = np.fft.irfft(s_hat * xh, n)
+        Ax = np.fft.irfft(k2 / (1.0 + k2) * xh + s_hat * np.fft.rfft(V * Sx), n)
+        y = Ax - Q @ (Q.T @ Ax) + sigma * Qx
+        best = min(best, float(np.linalg.norm(y - (x @ y) / (x @ x) * x) / np.linalg.norm(x)))
+        return y
+
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        vals, vecs = scipy.linalg.eigh(A, B, subset_by_index=(0, 0))
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:  # pragma: no cover
-        raise SpectralFailureError(f"dense eigensolve failed: {exc}") from exc
-    lam = float(vals[0])
-    v = vecs[:, 0]
-    vec = Z @ v if Z is not None else v
-    nrm = math.sqrt(grid.spacing * float(vec @ vec))
-    if nrm > 0:
-        vec = vec / nrm
-    return SpectrumResult(lambda_min=lam, eigenvector=Field(grid, vec), constrained=constrained)
+        vals, vecs = eigsh(LinearOperator((n, n), matvec=matvec, dtype=np.float64), k=1,
+                           which="SA", tol=0, v0=v0 - Q @ (Q.T @ v0))
+    except ArpackNoConvergence as exc:
+        raise SpectralFailureError(
+            f"Lanczos did not converge (n={n}, p={params.p}, N={state.n}, constrained="
+            f"{constrained}) in {matvecs} operator applications; best residual "
+            f"reached {best:.3e}") from exc
+    lam, wv = float(vals[0]), vecs[:, 0]
+    eigen_residual = float(np.linalg.norm(matvec(wv) - lam * wv))
+    vec = np.fft.irfft(s_hat * np.fft.rfft(wv), n)
+    vec /= math.sqrt(grid.spacing * float(vec @ vec))
+    overlaps = None
+    if constrained:
+        ov = np.abs(grid.spacing * (vec @ C))
+        overlaps = {"profile": float(np.max(ov[0::2])), "slope": float(np.max(ov[1::2]))}
+    return SpectrumResult(lam, Field(grid, vec), constrained, eigen_residual, matvecs, overlaps)
 
 
 def write_spectral_certificate(path, result: SpectrumResult, dec_or_state,
@@ -379,6 +386,9 @@ def write_spectral_certificate(path, result: SpectrumResult, dec_or_state,
         "separations": [float(s) for s in seps],
         "lambda_min": result.lambda_min,
         "constrained": result.constrained,
+        "constraint_residuals": result.constraint_residuals,
+        "eigen_residual": result.eigen_residual,
+        "matvecs": result.matvecs,
         "grid": {"n": grid.n, "length": grid.length, "x0": grid.x0},
         "tolerance": tolerance,
     }

@@ -136,7 +136,7 @@ def _check_common(cfg: ExperimentConfig) -> None:
             k = round(total / cfg.dt)
             if k < 1 or abs(k * cfg.dt - total) > 1e-9 * max(1.0, total):
                 _fail(f"{name}={total:g} must be a positive integer multiple of dt={cfg.dt:g}")
-        if round(cfg.t_final / cfg.cadence) * cfg.cadence - cfg.t_final > 1e-9:
+        if abs(round(cfg.t_final / cfg.cadence) * cfg.cadence - cfg.t_final) > 1e-9:
             _fail(f"t_final={cfg.t_final:g} must be a multiple of cadence={cfg.cadence:g}")
 
     pert = cfg.perturbation
@@ -209,6 +209,10 @@ def _check_family(cfg: ExperimentConfig) -> None:
         if k < 1 or abs(k * cfg.dt - cfg.identity_cadence) > 1e-12:
             _fail(f"monotonicity: identity_cadence={cfg.identity_cadence:g} must be a "
                   f"multiple of dt={cfg.dt:g}")
+        if abs(round(cfg.identity_t / cfg.identity_cadence) * cfg.identity_cadence
+               - cfg.identity_t) > 1e-9:
+            _fail(f"monotonicity: identity_t={cfg.identity_t:g} must be a multiple of "
+                  f"identity_cadence={cfg.identity_cadence:g}")
     elif cfg.family == "quadratic-control":
         if n < 2:
             _fail("quadratic-control: need at least 2 solitons")

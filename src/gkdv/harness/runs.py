@@ -476,7 +476,12 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> RunReport:
                      [("lambda_constrained", [res_c.lambda_min]),
                       ("lambda_unconstrained", [res_u.lambda_min])])
     return _report(cfg, checks, extras={"lambda_constrained": res_c.lambda_min,
-                                        "lambda_unconstrained": res_u.lambda_min})
+                                        "lambda_unconstrained": res_u.lambda_min,
+                                        "constraint_residuals": res_c.constraint_residuals,
+                                        "eigen_residual_constrained": res_c.eigen_residual,
+                                        "eigen_residual_unconstrained": res_u.eigen_residual,
+                                        "matvecs_constrained": res_c.matvecs,
+                                        "matvecs_unconstrained": res_u.matvecs})
 
 
 def _sweep_run(cfg: ExperimentConfig, params, separation: float):

@@ -1,19 +1,22 @@
 """Transition weight, localized masses, quadratic forms and their spectrum."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from dense_spectrum import dense_constrained_spectrum
 from gkdv import (Field, Grid, ModelParams, ParameterError, PsiWeight,
-                  SolitonState, UnsupportedModelError, abel_resummed,
-                  bilinear_form, constrained_spectrum, decompose, dj_sums,
-                  energy_expansion_residual, eval_Qc, evolve, h1_norm,
-                  l2_norm, linearized_energy_form, localized_mass_rate_terms,
-                  localized_masses, midpoints, psi_eval, quadratic_form,
-                  soliton_sum, speed_ramp, weight_for,
-                  write_spectral_certificate)
+                  SolitonState, SpectralFailureError, UnsupportedModelError,
+                  abel_resummed, bilinear_form, constrained_spectrum,
+                  decompose, dj_sums, energy_expansion_residual, eval_Qc,
+                  evolve, h1_norm, l2_norm, linearized_energy_form,
+                  localized_mass_rate_terms, localized_masses, midpoints,
+                  psi_eval, quadratic_form, soliton_sum, speed_ramp,
+                  weight_for, write_spectral_certificate)
 
 P2 = ModelParams(2)
 
@@ -277,6 +280,71 @@ def test_spectral_certificate_json(tmp_path, spectrum_pair):
     assert data["lambda_min"] == res_c.lambda_min
     assert data["constrained"] is True
     assert data["grid"] == {"n": 512, "length": 128.0, "x0": -64.0}
+    assert data["constraint_residuals"] == res_c.constraint_residuals
+    assert set(data["constraint_residuals"]) == {"profile", "slope"}
+    assert max(data["constraint_residuals"].values()) < 1e-12
+    assert data["eigen_residual"] == res_c.eigen_residual < 1e-10
+    assert data["matvecs"] == res_c.matvecs > 0
+
+
+_ORACLE_STATES = {1: SolitonState((1.0,), (0.3,)),
+                  2: SolitonState((1.0, 2.0), (-20.0, 20.0)),
+                  3: SolitonState((1.0, 2.0, 3.0), (-40.0, 0.0, 40.0))}
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+@pytest.mark.parametrize("n_sol", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_spectrum_matches_dense_oracle(p, n_sol, constrained):
+    grid = Grid(1024, 256.0, -128.0)
+    params = ModelParams(p)
+    st = _ORACLE_STATES[n_sol]
+    w = weight_for(st, params)
+    res = constrained_spectrum(st, w, params, grid, constrained=constrained)
+    lam, vec = dense_constrained_spectrum(st, w, params, grid, constrained=constrained)
+    assert abs(res.lambda_min - lam) <= 1e-10
+    v = res.eigenvector.values
+    dist = min(np.linalg.norm(v - vec), np.linalg.norm(v + vec)) * np.sqrt(grid.spacing)
+    assert dist <= 1e-8
+
+
+def test_spectrum_failure_names_its_state(monkeypatch):
+    def no_convergence(op, k, which, tol, v0):
+        op.matvec(v0)
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((op.shape[0], 0)))
+
+    monkeypatch.setattr("gkdv.functionals.eigsh", no_convergence)
+    grid = Grid(512, 128.0, -64.0)
+    st = SolitonState((1.0, 2.0), (-20.0, 20.0))
+    with pytest.raises(SpectralFailureError) as info:
+        constrained_spectrum(st, weight_for(st, P2), P2, grid)
+    msg = str(info.value)
+    for part in ("n=512", "p=2", "N=2", "constrained=True", "best residual reached"):
+        assert part in msg
+    assert float(msg.rsplit(" ", 1)[1]) < np.inf
+
+
+def test_spectrum_five_solitons_at_n8192():
+    grid = Grid(8192, 256.0, -128.0)
+    params = ModelParams(3)
+    st = SolitonState((1.0, 2.0, 3.0, 4.0, 5.0), (-40.0, -20.0, 0.0, 20.0, 40.0))
+    w = weight_for(st, params)
+    t0 = time.monotonic()
+    lam_c = constrained_spectrum(st, w, params, grid).lambda_min
+    lam_u = constrained_spectrum(st, w, params, grid, constrained=False).lambda_min
+    assert lam_c > 0.0 > lam_u
+    assert time.monotonic() - t0 < 5.0
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_spectrum_single_soliton_ground_state_at_n8192(p):
+    # (1 - d2) Q = Q^p and (-d2 + 1 - p Q^(p-1)) Q = (1 - p) Q^p: Q is the
+    # ground state of the pencil with eigenvalue exactly 1 - p
+    grid = Grid(8192, 256.0, -128.0)
+    params = ModelParams(p)
+    st = SolitonState((1.0,), (0.0,))
+    res = constrained_spectrum(st, weight_for(st, params), params, grid, constrained=False)
+    assert abs(res.lambda_min - (1.0 - p)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

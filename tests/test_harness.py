@@ -108,6 +108,15 @@ def test_config_family_rules():
                          positions=(30.0, -30.0))
 
 
+def test_config_rejects_cadence_off_the_output_lattice():
+    # the nearest cadence multiple, 0.9, lies below t_final = 1.0
+    with pytest.raises(ConfigValidationError, match="multiple of cadence"):
+        preset("single-soliton").with_updates(t_final=1.0, cadence=0.3)
+    # the identity run would only fail after the whole separation sweep
+    with pytest.raises(ConfigValidationError, match="identity_t"):
+        preset("mass-monotonicity").with_updates(identity_cadence=0.007)
+
+
 def test_with_updates_revalidates():
     cfg = _cfg()
     with pytest.raises(ConfigValidationError):
@@ -284,7 +293,12 @@ def test_execute_spectrum_small(tmp_path):
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["lambda_min"] > 0.0
     assert cert["constrained"] is True
+    assert cert["constraint_residuals"] == report.extras["constraint_residuals"]
+    assert cert["eigen_residual"] == report.extras["eigen_residual_constrained"]
+    assert cert["matvecs"] == report.extras["matvecs_constrained"]
     assert report.extras["lambda_unconstrained"] < 0.0
+    assert [c.name for c in report.checks] == ["constrained-positive",
+                                               "unconstrained-negative"]
 
 
 @pytest.fixture()
