@@ -29,7 +29,7 @@ from .profiles import (ModelParams, SolitonState, eval_Q, eval_Qc,
                        sigma0_of_speeds, soliton_energy, soliton_mass,
                        soliton_sum)
 from .snapio import SnapshotSet, read_snapshots, snapshots_to_csv, write_snapshots
-from .solver import (C_STAB, ConservedQuantities, SpongeConfig, Stepper,
+from .solver import (C_STAB, ConservedQuantities, SpongeSettings, Stepper,
                      Trajectory, conserved, dt_stability_bound, evolve,
                      h1_distance, h1_norm, l2_norm, l2_norm_right_of,
                      spectral_derivative, sponge_profile, step)
@@ -55,7 +55,7 @@ __all__ = [
     "profile_mass_constant", "sigma0_of_speeds", "soliton_energy",
     "soliton_mass", "soliton_sum",
     "SnapshotSet", "read_snapshots", "snapshots_to_csv", "write_snapshots",
-    "C_STAB", "ConservedQuantities", "SpongeConfig", "Stepper", "Trajectory",
+    "C_STAB", "ConservedQuantities", "SpongeSettings", "Stepper", "Trajectory",
     "conserved", "dt_stability_bound", "evolve", "h1_distance", "h1_norm",
     "l2_norm", "l2_norm_right_of", "spectral_derivative", "sponge_profile", "step",
 ]

@@ -22,7 +22,7 @@ from scipy.special import betainc
 from .errors import ParameterError, SpectralFailureError
 from .grid import Field, Grid
 from .modulation import Decomposition
-from .profiles import (ModelParams, SolitonState, _check_p, _sech, eval_Qc,
+from .profiles import (ModelParams, SolitonBasis, SolitonState, _check_p, _sech,
                        soliton_energy)
 from .solver import spectral_derivative
 
@@ -140,9 +140,12 @@ def psi_eval(w: PsiWeight, x, deriv: int = 0, method: str = "closed"):
     return w.psi(x, deriv=deriv, method=method)
 
 
+def _state_of(dec_or_state) -> SolitonState:
+    return dec_or_state.state if isinstance(dec_or_state, Decomposition) else dec_or_state
+
+
 def weight_for(dec_or_state, params: ModelParams) -> PsiWeight:
-    state = dec_or_state.state if isinstance(dec_or_state, Decomposition) else dec_or_state
-    return PsiWeight(params.p, state.sigma0)
+    return PsiWeight(params.p, _state_of(dec_or_state).sigma0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +185,7 @@ class LocalizedMassRecord:
 def localized_masses(t: float, u: Field, dec_or_state, w: PsiWeight,
                      params: ModelParams, y0: float | None = None,
                      ref_index: int | None = None) -> LocalizedMassRecord:
-    state = dec_or_state.state if isinstance(dec_or_state, Decomposition) else dec_or_state
+    state = _state_of(dec_or_state)
     x = _require_sorted_positions(state)
     h = u.grid.spacing
     u2 = u.values**2
@@ -228,16 +231,14 @@ def localized_mass_rate_terms(u: Field, m: float, w: PsiWeight,
 
 def dj_sums(dec_or_state, params: ModelParams) -> np.ndarray:
     """Tail sums d_j = sum_{k>=j} c_k^(beta - 1/2), j = 1..N."""
-    state = dec_or_state.state if isinstance(dec_or_state, Decomposition) else dec_or_state
-    c = state.speed_array
+    c = _state_of(dec_or_state).speed_array
     powers = c ** params.mass_exponent
     return np.cumsum(powers[::-1])[::-1]
 
 
 def abel_resummed(state_t, state_0, params: ModelParams) -> float:
     """Summation-by-parts combination of the d_j increments with frozen gaps."""
-    s_t = state_t.state if isinstance(state_t, Decomposition) else state_t
-    s_0 = state_0.state if isinstance(state_0, Decomposition) else state_0
+    s_t, s_0 = _state_of(state_t), _state_of(state_0)
     if s_t.n != s_0.n:
         raise ParameterError("states must have the same number of solitons")
     d_t = dj_sums(s_t, params)
@@ -252,15 +253,12 @@ def abel_resummed(state_t, state_0, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 # quadratic form and its constrained spectrum
 
-def _state_of(dec_or_state) -> SolitonState:
-    return dec_or_state.state if isinstance(dec_or_state, Decomposition) else dec_or_state
-
-
-def _profile_sum(state: SolitonState, params: ModelParams, grid: Grid) -> np.ndarray:
-    total = np.zeros(grid.n)
-    for c, x0 in zip(state.speeds, state.positions):
-        total += eval_Qc(params.p, c, grid.wrap(grid.x - x0))
-    return total
+def _basis_of(dec_or_state, params: ModelParams, grid: Grid) -> SolitonBasis:
+    """A decomposition's own basis when it fits params and grid, else a new one."""
+    basis = getattr(dec_or_state, "basis", None)
+    if basis is None or basis.params != params or basis.grid != grid:
+        basis = SolitonBasis(params, _state_of(dec_or_state), grid)
+    return basis
 
 
 def speed_ramp(dec_or_state, w: PsiWeight, grid: Grid) -> np.ndarray:
@@ -277,10 +275,9 @@ def speed_ramp(dec_or_state, w: PsiWeight, grid: Grid) -> np.ndarray:
 def bilinear_form(f: Field, g: Field, dec_or_state, w: PsiWeight,
                   params: ModelParams) -> float:
     """int f_x g_x - p R^(p-1) f g + c(x) f g with R the full profile sum."""
-    state = _state_of(dec_or_state)
     grid = f.grid
-    R = _profile_sum(state, params, grid)
-    ramp = speed_ramp(state, w, grid)
+    R = _basis_of(dec_or_state, params, grid).total
+    ramp = speed_ramp(dec_or_state, w, grid)
     fx = spectral_derivative(f, 1).values
     gx = spectral_derivative(g, 1).values
     h = grid.spacing
@@ -293,9 +290,8 @@ def quadratic_form(eps: Field, dec_or_state, w: PsiWeight, params: ModelParams) 
 
 def linearized_energy_form(eps: Field, dec_or_state, params: ModelParams) -> float:
     """int eps_x^2 - p R^(p-1) eps^2 (no speed ramp), the energy Hessian term."""
-    state = _state_of(dec_or_state)
     grid = eps.grid
-    R = _profile_sum(state, params, grid)
+    R = _basis_of(dec_or_state, params, grid).total
     ex = spectral_derivative(eps, 1).values
     h = grid.spacing
     return h * float(np.sum(ex * ex - params.p * R ** (params.p - 1) * eps.values**2))
@@ -328,16 +324,13 @@ def constrained_spectrum(dec_or_state, w: PsiWeight, params: ModelParams,
     k2 = grid.wavenumbers**2
     k2[-1] = 0.0  # Nyquist; grid sizes are even
     s_hat = 1.0 / np.sqrt(1.0 + k2)
-    R = _profile_sum(state, params, grid)
-    V = -params.p * R ** (params.p - 1) + speed_ramp(state, w, grid)
+    basis = _basis_of(dec_or_state, params, grid)
+    V = -params.p * basis.total ** (params.p - 1) + speed_ramp(state, w, grid)
     sigma = 1.0 + float(np.max(np.abs(V)))
     Q = np.zeros((n, 0))
     if constrained:
-        cols = []
-        for c, x0 in zip(state.speeds, state.positions):
-            y = grid.wrap(grid.x - x0)
-            cols += [eval_Qc(params.p, c, y), eval_Qc(params.p, c, y, 1)]
-        C = np.stack(cols, axis=1)
+        C = np.empty((n, 2 * state.n))  # columns R_1, (R_1)_x, R_2, (R_2)_x, ...
+        C[:, 0::2], C[:, 1::2] = basis.R.T, basis.Rx.T
         Q = np.linalg.qr(np.fft.irfft(s_hat[:, None] * np.fft.rfft(C, axis=0), n, axis=0))[0]
     matvecs, best = 0, math.inf  # best: smallest Rayleigh residual, reported on failure
 
@@ -414,5 +407,6 @@ def energy_expansion_residual(u: Field, dec: Decomposition, ref,
         raise ParameterError("reference state must have the same number of solitons")
     drift = sum(soliton_energy(params.p, ct) - soliton_energy(params.p, c0)
                 for ct, c0 in zip(state.speeds, ref_state.speeds))
-    eps = Field(u.grid, u.values - _profile_sum(state, params, u.grid))
-    return float(drift + 0.5 * linearized_energy_form(eps, state, params))
+    basis = _basis_of(dec, params, u.grid)
+    eps = Field(u.grid, u.values - basis.total)
+    return float(drift + 0.5 * linearized_energy_form(eps, dec, params))

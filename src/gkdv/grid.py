@@ -56,10 +56,6 @@ class Grid:
         half = 0.5 * self.length
         return np.mod(np.asarray(dx) + half, self.length) - half
 
-    def resolves(self, c_max: float, factor: float = 0.25) -> bool:
-        """True when spacing <= factor / sqrt(c_max), the soliton-width rule."""
-        return self.spacing <= factor / np.sqrt(c_max)
-
 
 @dataclass
 class Field:

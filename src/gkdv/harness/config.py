@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import ConfigValidationError, GkdvError
 from ..grid import Grid
 from ..profiles import SUPPORTED_P, sigma0_of_speeds
-from ..solver import C_STAB
+from ..solver import SpongeSettings, dt_stability_bound, sponge_profile
 
 FAMILIES = ("simulate", "decompose", "spectrum", "stability", "monotonicity",
             "quadratic-control", "asymptotic", "nsoliton")
@@ -55,13 +55,6 @@ class PerturbationConfig:
     seed: int = 0
     kmin: float = 0.05
     kmax: float = 1.0
-
-
-@dataclass(frozen=True)
-class SpongeSettings:
-    enabled: bool = False
-    width_fraction: float = 0.05
-    strength: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -126,10 +119,9 @@ def _check_common(cfg: ExperimentConfig) -> None:
     if cfg.family not in STATIC_FAMILIES:
         if not (cfg.dt > 0):
             _fail(f"dt must be positive, got {cfg.dt}")
-        bound = C_STAB * grid.spacing**3
+        bound = dt_stability_bound(grid)
         if cfg.dt > bound * (1 + 1e-12):
-            _fail(f"dt={cfg.dt:g} exceeds the stability bound {bound:g} "
-                  f"= {C_STAB} h^3 at h={grid.spacing:g}")
+            _fail(f"dt={cfg.dt:g} exceeds the stability bound {bound:g} at h={grid.spacing:g}")
         if not (cfg.t_final > 0):
             _fail(f"t_final must be positive, got {cfg.t_final}")
         for total, name in ((cfg.t_final, "t_final"), (cfg.cadence, "cadence")):
@@ -159,12 +151,10 @@ def _check_common(cfg: ExperimentConfig) -> None:
         if not (0.0 <= pert.kmin < pert.kmax):
             _fail(f"perturbation band needs 0 <= kmin < kmax, got ({pert.kmin}, {pert.kmax})")
 
-    sp = cfg.sponge
-    if sp.enabled:
-        if not (0.0 < sp.width_fraction < 0.5):
-            _fail(f"sponge.width_fraction must be in (0, 0.5), got {sp.width_fraction}")
-        if not (sp.strength >= 0):
-            _fail(f"sponge.strength must be nonnegative, got {sp.strength}")
+    try:
+        sponge_profile(grid, cfg.sponge)
+    except GkdvError as exc:
+        _fail(str(exc))
 
     if cfg.y0 is not None and not (cfg.y0 > 0):
         _fail(f"y0 must be positive, got {cfg.y0}")

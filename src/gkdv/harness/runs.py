@@ -21,12 +21,12 @@ from ..functionals import (PsiWeight, constrained_spectrum,
                            localized_masses, write_spectral_certificate)
 from ..grid import Field
 from ..modulation import ModulationTracker, decompose, initial_guess, ortho_jacobian
-from ..profiles import (ModelParams, SolitonState, eval_Qc,
+from ..profiles import (ModelParams, SolitonBasis, SolitonState,
                         kdv_nsoliton_profile, profile_mass_constant,
                         soliton_energy, soliton_sum)
 from ..snapio import write_snapshots
-from ..solver import (SpongeConfig, conserved, evolve, h1_norm, l2_norm,
-                      l2_norm_right_of, spectral_derivative)
+from ..solver import (Trajectory, evolve, h1_norm, l2_norm, l2_norm_right_of,
+                      spectral_derivative)
 from .config import ExperimentConfig, config_to_dict
 from .perturbations import make_perturbation
 
@@ -148,8 +148,8 @@ class DiagnosticsCollector:
     """Observer for evolve(): tracks the modulation state and records, per
     snapshot, the remainder norms (global, on the rightward ray, and in the
     co-moving half-line), the distance to the frozen-speed soliton family,
-    conserved-quantity drift, weighted masses with their rate-identity
-    integrands, and edge probes."""
+    weighted masses with their rate-identity integrands, and edge probes.
+    Conserved-quantity drift comes from the trajectory, in table()."""
 
     def __init__(self, params: ModelParams, state0: SolitonState, *,
                  l_min: float = 0.0, tol: float | None = None,
@@ -166,10 +166,7 @@ class DiagnosticsCollector:
         # radiation falls behind it
         self.ray_origin = float(np.min(state0.position_array))
         self.ray_speed = 0.1 * float(np.min(state0.speed_array))
-        self._q0 = None
         self.times = []
-        self.mass_drift = []
-        self.energy_drift = []
         self.speeds = []
         self.positions = []
         self.eps_l2 = []
@@ -201,13 +198,6 @@ class DiagnosticsCollector:
 
     def __call__(self, t: float, u: Field) -> None:
         self.times.append(float(t))
-        q = conserved(u, self.params)
-        if self._q0 is None:
-            self._q0 = q
-        self.mass_drift.append(abs(q.mass - self._q0.mass)
-                               / max(abs(self._q0.mass), 1e-300))
-        self.energy_drift.append(abs(q.energy - self._q0.energy)
-                                 / max(abs(self._q0.energy), 1e-300))
         dec = self.tracker.update(t, u)
         if dec is None:
             self._nan_row(t)
@@ -219,10 +209,9 @@ class DiagnosticsCollector:
         self.eps_h1.append(h1_norm(dec.epsilon))
         self.eps_ray.append(l2_norm_right_of(
             dec.epsilon, self.ray_origin + self.ray_speed * t))
-        frozen = soliton_sum(self.params,
-                             SolitonState(tuple(self.frozen_speeds),
-                                          tuple(st.positions)), u.grid)
-        self.dist_frozen.append(h1_norm(Field(u.grid, u.values - frozen.values)))
+        # frozen-speed profiles at the tracked positions, on the same offsets
+        frozen = dec.basis.rows(0, speeds=self.frozen_speeds).sum(axis=0)
+        self.dist_frozen.append(h1_norm(Field(u.grid, u.values - frozen)))
         self.resid.append(float(np.max(np.abs(dec.ortho_residuals))))
         self.iters.append(float(dec.iterations))
         if self.y0 is not None:
@@ -237,7 +226,7 @@ class DiagnosticsCollector:
         else:
             self.eps_ahead.append(np.nan)
         self.esol.append(sum(soliton_energy(self.params.p, c) for c in st.speeds))
-        self.half_hessian.append(0.5 * linearized_energy_form(dec.epsilon, st, self.params))
+        self.half_hessian.append(0.5 * linearized_energy_form(dec.epsilon, dec, self.params))
         x = st.position_array
         if st.n > 1 and np.all(np.diff(x) > 0):
             rec = localized_masses(t, u, st, self.weight, self.params,
@@ -259,7 +248,8 @@ class DiagnosticsCollector:
 
     # -- assembled arrays ---------------------------------------------------
 
-    def table(self) -> dict:
+    def table(self, traj: Trajectory) -> dict:
+        """Series columns; traj is the evolution this collector observed."""
         n, m = self.n_solitons, max(self.n_solitons - 1, 0)
         out = {"t": np.asarray(self.times)}
         speeds = np.vstack(self.speeds) if self.speeds else np.empty((0, n))
@@ -274,8 +264,7 @@ class DiagnosticsCollector:
         out["dist_frozen_h1"] = np.asarray(self.dist_frozen)
         out["max_ortho_residual"] = np.asarray(self.resid)
         out["newton_iterations"] = np.asarray(self.iters)
-        out["mass_drift"] = np.asarray(self.mass_drift)
-        out["energy_drift"] = np.asarray(self.energy_drift)
+        out["mass_drift"], out["energy_drift"] = traj.drift_series()
         masses = np.vstack(self.masses) if self.masses else np.empty((0, m))
         s1 = np.vstack(self.s1) if self.s1 else np.empty((0, m))
         s2 = np.vstack(self.s2) if self.s2 else np.empty((0, m))
@@ -319,13 +308,6 @@ def _initial_field(cfg: ExperimentConfig, params, grid, state) -> Field:
     base = soliton_sum(params, state, grid)
     pert = make_perturbation(cfg.perturbation, grid, state)
     return Field(grid, base.values + pert.values)
-
-
-def _sponge(cfg: ExperimentConfig) -> SpongeConfig | None:
-    if not cfg.sponge.enabled:
-        return None
-    return SpongeConfig(enabled=True, width_fraction=cfg.sponge.width_fraction,
-                        strength=cfg.sponge.strength)
 
 
 def _compose(*observers):
@@ -376,7 +358,7 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         holder["final"] = u
 
     traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
-                  sponge=_sponge(cfg), observer=_compose(collector, capture),
+                  sponge=cfg.sponge, observer=_compose(collector, capture),
                   keep_fields=cfg.write_snapshots)
 
     checks = []
@@ -389,14 +371,15 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     extras = {}
     if state.n == 1 and cfg.perturbation.kind == "none":
         c, x0 = state.speeds[0], state.positions[0]
-        exact = eval_Qc(params.p, c, grid.wrap(grid.x - x0 - c * cfg.t_final))
+        moved = SolitonState((c,), (x0 + c * cfg.t_final,))
+        exact = SolitonBasis(params, moved, grid).total
         err = l2_norm(Field(grid, holder["final"].values - exact))
         checks.append(CheckResult("propagation-error", err <= thr["propagation"],
                                   err, thr["propagation"]))
         extras["propagation_error"] = err
 
     if collector is not None:
-        table = collector.table()
+        table = collector.table(traj)
     else:
         table = {"t": traj.times}
     table["mass"] = traj.mass
@@ -492,9 +475,9 @@ def _sweep_run(cfg: ExperimentConfig, params, separation: float):
     collector = DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
                                      tol=cfg.track.tol, y0=cfg.y0,
                                      ref_index=cfg.ref_index)
-    evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
-           sponge=_sponge(cfg), observer=collector, keep_fields=False)
-    return collector
+    traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
+                  sponge=cfg.sponge, observer=collector, keep_fields=False)
+    return collector, traj
 
 
 def _sup_speed_drift(collector: DiagnosticsCollector) -> float:
@@ -526,8 +509,8 @@ def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
                 u0 = soliton_sum(params, state, grid)
             collector = DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
                                              tol=cfg.track.tol)
-            evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
-                   sponge=_sponge(cfg), observer=collector, keep_fields=False)
+            traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
+                          sponge=cfg.sponge, observer=collector, keep_fields=False)
             dist = float(np.nanmax(np.asarray(collector.dist_frozen)))
             drift = _sup_speed_drift(collector)
         except GkdvError as exc:
@@ -537,7 +520,7 @@ def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         done.append(alpha)
         sup_dist.append(dist)
         sup_dc.append(drift)
-        table = collector.table()
+        table = collector.table(traj)
         table = {"alpha": np.full(table["t"].size, alpha), **table}
         if all_pairs is None:
             all_pairs = {k: [v] for k, v in table.items()}
@@ -605,7 +588,7 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     all_pairs = None
     for L in cfg.sweep_separations:
         try:
-            collector = _sweep_run(cfg, params, L)
+            collector, traj = _sweep_run(cfg, params, L)
             masses = collector.mass_matrix
             finite = np.all(np.isfinite(masses), axis=1)
             if not finite[0]:
@@ -615,7 +598,7 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
                              "error": f"{type(exc).__name__}: {exc}"})
             continue
         collectors.append(collector)
-        table = collector.table()
+        table = collector.table(traj)
         base = masses[finite][0]
         inc = float(np.nanmax(masses[finite] - base))
         seps.append(L)
@@ -683,7 +666,7 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     tight_tol = 1e-13 * l2_norm(u0)
     collector = DiagnosticsCollector(params, state, tol=tight_tol)
     evolve(u0, ident_cfg.t_final, params, ident_cfg.dt, cadence=ident_cfg.cadence,
-           sponge=_sponge(ident_cfg), observer=collector, keep_fields=False)
+           sponge=ident_cfg.sponge, observer=collector, keep_fields=False)
     times = np.asarray(collector.times)
     masses = collector.mass_matrix
     pos = collector.position_matrix
@@ -726,8 +709,8 @@ def run_quadratic_control(cfg: ExperimentConfig, outdir: Path) -> RunReport:
             u0 = _initial_field(acfg, params, grid, state)
             collector = DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
                                              tol=cfg.track.tol)
-            evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
-                   sponge=_sponge(cfg), observer=collector, keep_fields=False)
+            traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
+                          sponge=cfg.sponge, observer=collector, keep_fields=False)
         except GkdvError as exc:
             failures.append({"alpha": alpha,
                              "error": f"{type(exc).__name__}: {exc}"})
@@ -738,7 +721,7 @@ def run_quadratic_control(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         sup_eps.append(float(np.nanmax(eps_series)))
         finite = eps_series[np.isfinite(eps_series)]
         eps0.append(float(finite[0]) if finite.size else float("nan"))
-        table = collector.table()
+        table = collector.table(traj)
         table = {"alpha": np.full(table["t"].size, alpha), **table}
         if all_pairs is None:
             all_pairs = {k: [v] for k, v in table.items()}
@@ -790,9 +773,9 @@ def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     collector = DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
                                      tol=cfg.track.tol, y0=cfg.y0,
                                      ref_index=cfg.ref_index)
-    evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
-           sponge=_sponge(cfg), observer=collector, keep_fields=False)
-    table = collector.table()
+    traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
+                  sponge=cfg.sponge, observer=collector, keep_fields=False)
+    table = collector.table(traj)
     write_series_csv(outdir / "series.csv", list(table.items()))
 
     times = np.asarray(collector.times)
@@ -879,7 +862,7 @@ def run_nsoliton(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         holder["final"] = u
 
     traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
-                  sponge=_sponge(cfg), observer=observer, keep_fields=False)
+                  sponge=cfg.sponge, observer=observer, keep_fields=False)
     max_dist = float(np.max(dists))
     checks = [CheckResult("profile-distance", max_dist <= thr["l2_distance"],
                           max_dist, thr["l2_distance"])]

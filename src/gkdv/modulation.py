@@ -9,15 +9,14 @@ trajectory seeds each solve from the ballistically advanced previous state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DecompositionFailureError, DegenerateConfigurationError,
                      GuessFailureError, ParameterError)
-from .grid import Field, Grid
-from .profiles import (ModelParams, SolitonState, dQc_dc, dQcx_dc, eval_Q,
-                       eval_Qc)
+from .grid import Field
+from .profiles import ModelParams, SolitonBasis, SolitonState, eval_Q
 from .solver import h1_norm, l2_norm
 
 _COND_LIMIT = 1e12
@@ -30,65 +29,51 @@ class Decomposition:
 
     ortho_residuals holds (rho1_1, rho2_1, ..., rho1_N, rho2_N), i.e. the
     profile and profile-slope overlaps of eps for each soliton in turn.
+    basis is the final state's SolitonBasis, for reuse by whoever consumes the
+    decomposition right away; track() drops it so that stored decompositions
+    do not keep (N, n) rows alive.
     """
 
     state: SolitonState
     epsilon: Field
     ortho_residuals: np.ndarray
     iterations: int
+    basis: SolitonBasis | None = field(default=None, repr=False, compare=False)
 
     def reconstruct(self, params: ModelParams) -> Field:
         g = self.epsilon.grid
-        total = self.epsilon.values.copy()
-        for c, x0 in zip(self.state.speeds, self.state.positions):
-            total += eval_Qc(params.p, c, g.wrap(g.x - x0))
-        return Field(g, total)
+        return Field(g, self.epsilon.values + SolitonBasis(params, self.state, g).total)
 
 
-def _profile_rows(params: ModelParams, state: SolitonState, grid: Grid, want_dc: bool):
-    """Per-soliton sampled profiles and derivatives, each of shape (N, n)."""
-    p = params.p
-    N = state.n
-    R = np.empty((N, grid.n))
-    Rx = np.empty((N, grid.n))
-    Rxx = np.empty((N, grid.n)) if want_dc else None
-    dRdc = np.empty((N, grid.n)) if want_dc else None
-    dRxdc = np.empty((N, grid.n)) if want_dc else None
-    for j, (c, x0) in enumerate(zip(state.speeds, state.positions)):
-        y = grid.wrap(grid.x - x0)
-        R[j] = eval_Qc(p, c, y)
-        Rx[j] = eval_Qc(p, c, y, 1)
-        if want_dc:
-            Rxx[j] = eval_Qc(p, c, y, 2)
-            dRdc[j] = dQc_dc(p, c, y)
-            dRxdc[j] = dQcx_dc(p, c, y)
-    return R, Rx, Rxx, dRdc, dRxdc
+def _residual(u: Field, basis: SolitonBasis) -> np.ndarray:
+    eps = u.values - basis.total
+    h = u.grid.spacing
+    out = np.empty(2 * basis.state.n)
+    out[0::2] = h * (basis.R @ eps)
+    out[1::2] = h * (basis.Rx @ eps)
+    return out
 
 
 def ortho_residual(u: Field, state: SolitonState, params: ModelParams) -> np.ndarray:
     """The 2N orthogonality integrals (<R_j, eps>, <(R_j)_x, eps>)_j."""
-    R, Rx, *_ = _profile_rows(params, state, u.grid, want_dc=False)
-    eps = u.values - R.sum(axis=0)
-    h = u.grid.spacing
-    out = np.empty(2 * state.n)
-    out[0::2] = h * (R @ eps)
-    out[1::2] = h * (Rx @ eps)
-    return out
+    return _residual(u, SolitonBasis(params, state, u.grid))
 
 
 def ortho_jacobian(u: Field, state: SolitonState, params: ModelParams,
-                   mode: str = "analytic") -> np.ndarray:
+                   mode: str = "analytic", basis: SolitonBasis | None = None) -> np.ndarray:
     """Jacobian of ortho_residual w.r.t. (c_1, x_1, ..., c_N, x_N).
 
     Rows follow the residual ordering (rho1_j, rho2_j); mode "fd" uses central
-    differences with relative step 1e-6 for cross-validation.
+    differences with relative step 1e-6 for cross-validation. basis, when
+    given, is the state's SolitonBasis and its cached rows are reused.
     """
     if mode == "fd":
         return _fd_jacobian(u, state, params)
     if mode != "analytic":
         raise ParameterError(f"jacobian mode must be 'analytic' or 'fd', got {mode}")
-    R, Rx, Rxx, dRdc, dRxdc = _profile_rows(params, state, u.grid, want_dc=True)
-    eps = u.values - R.sum(axis=0)
+    b = SolitonBasis(params, state, u.grid) if basis is None else basis
+    R, Rx, Rxx, dRdc, dRxdc = b.R, b.Rx, b.Rxx, b.dR_dc, b.dRx_dc
+    eps = u.values - b.total
     h = u.grid.spacing
     N = state.n
     J = np.empty((2 * N, 2 * N))
@@ -147,14 +132,15 @@ def decompose(u: Field, guess: SolitonState, params: ModelParams,
         tol = 1e-11 * math.sqrt(u.grid.spacing * float(np.sum(u.values**2)))
         tol = max(tol, 1e-15)
     theta = _theta(guess)
-    res = ortho_residual(u, guess, params)
+    state = guess
+    basis = SolitonBasis(params, state, u.grid)
+    res = _residual(u, basis)
     rnorm = float(np.linalg.norm(res))
     iterations = 0
-    state = guess
     for _ in range(max_iter):
         if float(np.max(np.abs(res))) <= tol:
             break
-        J = ortho_jacobian(u, state, params)
+        J = ortho_jacobian(u, state, params, basis=basis)
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise DegenerateConfigurationError(
@@ -168,11 +154,12 @@ def decompose(u: Field, guess: SolitonState, params: ModelParams,
             except ParameterError:
                 lam *= 0.5  # step left the admissible cone; damp harder
                 continue
-            cand_res = ortho_residual(u, cand, params)
+            cand_basis = SolitonBasis(params, cand, u.grid)
+            cand_res = _residual(u, cand_basis)
             cand_norm = float(np.linalg.norm(cand_res))
             if cand_norm < rnorm:
                 theta = theta + lam * delta
-                state, res, rnorm = cand, cand_res, cand_norm
+                state, basis, res, rnorm = cand, cand_basis, cand_res, cand_norm
                 accepted = True
                 break
             lam *= 0.5
@@ -191,13 +178,8 @@ def decompose(u: Field, guess: SolitonState, params: ModelParams,
                 f"{float(np.max(np.abs(res))):.3e}, tol={tol:.3e})",
                 state=state, residuals=res, iterations=iterations)
 
-    R_sum = np.zeros(u.grid.n)
-    for c, x0 in zip(state.speeds, state.positions):
-        R_sum += eval_Qc(params.p, c, u.grid.wrap(u.grid.x - x0))
-    eps = Field(u.grid, u.values - R_sum)
-    return Decomposition(state=state, epsilon=eps,
-                         ortho_residuals=ortho_residual(u, state, params),
-                         iterations=iterations)
+    return Decomposition(state=state, epsilon=Field(u.grid, u.values - basis.total),
+                         ortho_residuals=res, iterations=iterations, basis=basis)
 
 
 def initial_guess(u: Field, n_solitons: int, params: ModelParams,
@@ -254,7 +236,7 @@ class ModulationTracker:
     previous decomposition; skip snapshots whose predicted separation falls
     below l_min; stop at the first hard failure."""
 
-    def __init__(self, params: ModelParams, first: SolitonState | Decomposition,
+    def __init__(self, params: ModelParams, first: SolitonState,
                  t0: float = 0.0, l_min: float = 0.0, tol: float | None = None):
         self.params = params
         self.l_min = float(l_min)
@@ -262,10 +244,7 @@ class ModulationTracker:
         self.failure_index = None
         self.failure_error = None
         self._count = 0
-        if isinstance(first, Decomposition):
-            self._last_state = first.state
-        else:
-            self._last_state = first
+        self._last_state = first
         self._last_t = float(t0)
 
     def predict(self, t: float) -> SolitonState:
@@ -337,7 +316,7 @@ def track(trajectory, params: ModelParams, n_solitons: int | None = None,
             raise ParameterError("track needs either an explicit guess or n_solitons")
         guess = initial_guess(trajectory.fields[0], n_solitons, params)
     first = decompose(trajectory.fields[0], guess, params, tol=tol)
-    tracker = ModulationTracker(params, first, t0=float(trajectory.times[0]),
+    tracker = ModulationTracker(params, first.state, t0=float(trajectory.times[0]),
                                 l_min=l_min, tol=tol)
     N = first.state.n
     count = len(trajectory.times)
@@ -348,6 +327,7 @@ def track(trajectory, params: ModelParams, n_solitons: int | None = None,
         dec = first if i == 0 else tracker.update(float(t), f)
         decs.append(dec)
         if dec is not None:
+            dec.basis = None
             speeds[i] = dec.state.speeds
             positions[i] = dec.state.positions
     times = np.asarray(trajectory.times, dtype=np.float64)

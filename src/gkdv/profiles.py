@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -157,18 +157,6 @@ def eval_Qc(p: int, c: float, x, deriv: int = 0):
     raise ParameterError(f"deriv must be 0, 1 or 2, got {deriv}")
 
 
-def dQc_dc(p: int, c: float, x) -> np.ndarray:
-    """Speed derivative of the profile: (2/(p-1) Q_c + x (Q_c)_x) / (2c)."""
-    x = np.asarray(x, dtype=np.float64)
-    return ((2.0 / (p - 1)) * eval_Qc(p, c, x) + x * eval_Qc(p, c, x, 1)) / (2.0 * c)
-
-
-def dQcx_dc(p: int, c: float, x) -> np.ndarray:
-    """Speed derivative of the profile slope: ((2/(p-1)+1) (Q_c)_x + x (Q_c)_xx) / (2c)."""
-    x = np.asarray(x, dtype=np.float64)
-    return ((2.0 / (p - 1) + 1.0) * eval_Qc(p, c, x, 1) + x * eval_Qc(p, c, x, 2)) / (2.0 * c)
-
-
 # ---------------------------------------------------------------------------
 # profile constants
 
@@ -235,6 +223,57 @@ def _seam_tail_fraction(p: int, c: float, grid: Grid) -> float:
     return float(_sech(a * np.sqrt(c) * 0.5 * grid.length) ** q)
 
 
+class SolitonBasis:
+    """Rows R_j = Q_{c_j}(x - x_j) of a state on a grid, with their derivatives.
+
+    The minimal-image offsets y_j = wrap(x - x_j) are computed once. Each row
+    family has shape (N, n) and is evaluated on first use, then kept. The speed
+    derivatives come from the scaling Q_c(y) = c^(1/(p-1)) Q(sqrt(c) y):
+    d_c R_j = (2/(p-1) R_j + y_j (R_j)_x) / (2 c_j) and
+    d_c (R_j)_x = ((2/(p-1) + 1) (R_j)_x + y_j (R_j)_xx) / (2 c_j).
+    """
+
+    def __init__(self, params: ModelParams, state: SolitonState, grid: Grid):
+        self.params = params
+        self.state = state
+        self.grid = grid
+        self.offsets = grid.wrap(grid.x - state.position_array[:, None])
+
+    def rows(self, deriv: int = 0, speeds=None) -> np.ndarray:
+        """Q_c, (Q_c)_x or (Q_c)_xx at each offset, for the state's speeds or
+        for other speeds at the same positions."""
+        speeds = self.state.speeds if speeds is None else speeds
+        return np.stack([eval_Qc(self.params.p, c, y, deriv)
+                         for c, y in zip(speeds, self.offsets)])
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return self.rows(0)
+
+    @cached_property
+    def Rx(self) -> np.ndarray:
+        return self.rows(1)
+
+    @cached_property
+    def Rxx(self) -> np.ndarray:
+        return self.rows(2)
+
+    @cached_property
+    def dR_dc(self) -> np.ndarray:
+        q = 2.0 / (self.params.p - 1)
+        return (q * self.R + self.offsets * self.Rx) / (2.0 * self.state.speed_array[:, None])
+
+    @cached_property
+    def dRx_dc(self) -> np.ndarray:
+        q = 2.0 / (self.params.p - 1) + 1.0
+        return (q * self.Rx + self.offsets * self.Rxx) / (2.0 * self.state.speed_array[:, None])
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        """sum_j R_j."""
+        return self.R.sum(axis=0)
+
+
 def soliton_sum(params: ModelParams, state: SolitonState, grid: Grid,
                 tail_threshold: float = 1e-10) -> Field:
     """Sum of rescaled profiles centered at the state's positions.
@@ -249,10 +288,7 @@ def soliton_sum(params: ModelParams, state: SolitonState, grid: Grid,
             raise DomainTooSmallError(
                 f"soliton of speed {c} keeps relative amplitude {frac:.3e} at the periodic seam "
                 f"(threshold {tail_threshold:.3e}); enlarge the domain")
-    total = np.zeros(grid.n)
-    for c, x0 in zip(state.speeds, state.positions):
-        total += eval_Qc(params.p, c, grid.wrap(grid.x - x0))
-    return Field(grid, total)
+    return Field(grid, SolitonBasis(params, state, grid).total)
 
 
 # ---------------------------------------------------------------------------

@@ -87,24 +87,25 @@ def h1_distance(u: Field, v: Field) -> float:
 # absorbing layer
 
 @dataclass(frozen=True)
-class SpongeConfig:
+class SpongeSettings:
     """Damping -sigma(x) u on a window of width_fraction*length centered on the
-    periodic seam (the upstream edge), with a C-infinity mollifier profile."""
+    periodic seam (the upstream edge), with a C-infinity mollifier profile.
+    sponge_profile checks the ranges of an enabled layer."""
 
     enabled: bool = False
-    width_fraction: float = 0.1
-    strength: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.width_fraction < 0.5):
-            raise ParameterError(f"sponge width fraction must lie in (0, 0.5), got {self.width_fraction}")
-        if self.strength < 0.0:
-            raise ParameterError(f"sponge strength must be nonnegative, got {self.strength}")
+    width_fraction: float = 0.05
+    strength: float = 5.0
 
 
-def sponge_profile(grid: Grid, cfg: SpongeConfig) -> np.ndarray:
+def sponge_profile(grid: Grid, cfg: SpongeSettings) -> np.ndarray:
     """sigma(x) of the absorbing layer; identically zero when disabled."""
-    if not cfg.enabled or cfg.strength == 0.0:
+    if not cfg.enabled:
+        return np.zeros(grid.n)
+    if not (0.0 < cfg.width_fraction < 0.5):
+        raise ParameterError(f"sponge width_fraction must lie in (0, 0.5), got {cfg.width_fraction}")
+    if not (cfg.strength >= 0.0):
+        raise ParameterError(f"sponge strength must be nonnegative, got {cfg.strength}")
+    if cfg.strength == 0.0:
         return np.zeros(grid.n)
     w = 0.5 * cfg.width_fraction * grid.length          # half-width around the seam
     d = grid.wrap(grid.x - grid.x0)                     # signed distance to the seam
@@ -122,7 +123,7 @@ class Stepper:
     """Precomputed integrating-factor RK4 stepper for one (grid, dt, p) triple."""
 
     def __init__(self, grid: Grid, dt: float, params: ModelParams,
-                 sponge: SpongeConfig | None = None):
+                 sponge: SpongeSettings | None = None):
         if not (dt > 0) or not math.isfinite(dt):
             raise ParameterError(f"dt must be positive and finite, got {dt}")
         bound = dt_stability_bound(grid)
@@ -163,7 +164,7 @@ class Stepper:
         return E2 * uhat + (E2 * a + 2.0 * E * (b + c) + d) / 6.0
 
 
-def step(u: Field, dt: float, params: ModelParams, sponge: SpongeConfig | None = None) -> Field:
+def step(u: Field, dt: float, params: ModelParams, sponge: SpongeSettings | None = None) -> Field:
     """Advance one time step (convenience wrapper building a one-shot stepper)."""
     st = Stepper(u.grid, dt, params, sponge)
     out = np.fft.irfft(st.step_hat(np.fft.rfft(u.values)), u.grid.n)
@@ -193,12 +194,15 @@ class Trajectory:
     energy: np.ndarray
     conservative: bool
 
+    def drift_series(self) -> tuple[np.ndarray, np.ndarray]:
+        """Relative mass and energy drift from the first snapshot, per snapshot."""
+        return tuple(np.abs(q - q[0]) / max(abs(q[0]), 1e-300)
+                     for q in (self.mass, self.energy))
+
     def relative_drift(self) -> tuple[float, float]:
         """Max relative mass and energy drift over the stored snapshots."""
-        m0, e0 = self.mass[0], self.energy[0]
-        dm = float(np.max(np.abs(self.mass - m0))) / max(abs(m0), 1e-300)
-        de = float(np.max(np.abs(self.energy - e0))) / max(abs(e0), 1e-300)
-        return dm, de
+        dm, de = self.drift_series()
+        return float(np.max(dm)), float(np.max(de))
 
 
 def _steps_for(total: float, dt: float, what: str) -> int:
@@ -209,7 +213,7 @@ def _steps_for(total: float, dt: float, what: str) -> int:
 
 
 def evolve(u0: Field, t_final: float, params: ModelParams, dt: float,
-           cadence: float | None = None, sponge: SpongeConfig | None = None,
+           cadence: float | None = None, sponge: SpongeSettings | None = None,
            observer=None, keep_fields: bool = True) -> Trajectory:
     """Evolve initial data to t_final, recording snapshots every `cadence`.
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from gkdv import eval_Qc
-from gkdv.functionals import _profile_sum, speed_ramp
+from gkdv.functionals import speed_ramp
 
 
 def second_derivative_matrix(grid) -> np.ndarray:
@@ -33,14 +33,14 @@ def second_derivative_matrix(grid) -> np.ndarray:
 def dense_constrained_spectrum(state, w, params, grid, constrained=True):
     """(lambda_min, L2-normalized eigenvector) of the pencil, dense."""
     D2 = second_derivative_matrix(grid)
-    R = _profile_sum(state, params, grid)
+    offsets = [grid.wrap(grid.x - x0) for x0 in state.positions]
+    R = sum(eval_Qc(params.p, c, y) for c, y in zip(state.speeds, offsets))
     V = -params.p * R ** (params.p - 1) + speed_ramp(state, w, grid)
     H = D2 + np.diag(V)
     M = np.eye(grid.n) + D2
     if constrained:
         cols = []
-        for c, x0 in zip(state.speeds, state.positions):
-            y = grid.wrap(grid.x - x0)
+        for c, y in zip(state.speeds, offsets):
             cols.append(eval_Qc(params.p, c, y))
             cols.append(eval_Qc(params.p, c, y, 1))
         Z = scipy.linalg.null_space(np.stack(cols, axis=1).T)

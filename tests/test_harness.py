@@ -1,12 +1,15 @@
 """Experiment harness: configs, perturbations, drivers, report, CLI."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gkdv import (BlowupError, ConfigValidationError, Grid, ParameterError,
                   read_snapshots)
+from gkdv import solver as solver_mod
 from gkdv.harness import runs as runs_mod
 from gkdv.harness.cli import build_parser, main
 from gkdv.harness.config import (ExperimentConfig, GridConfig,
@@ -140,6 +143,13 @@ def test_preset_roundtrip(name, tmp_path):
     path = tmp_path / "config.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_config_files_match_presets(name):
+    # configs/*.json and the preset registry describe the same experiments
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    assert load_config(path) == preset(name)
 
 
 def test_config_from_dict_errors(tmp_path):
@@ -299,6 +309,33 @@ def test_execute_spectrum_small(tmp_path):
     assert report.extras["lambda_unconstrained"] < 0.0
     assert [c.name for c in report.checks] == ["constrained-positive",
                                                "unconstrained-negative"]
+
+
+def test_tracked_run_computes_conserved_once_per_snapshot(tmp_path, monkeypatch):
+    real = solver_mod.conserved
+    calls = []
+
+    def counting(u, params):
+        calls.append(u)
+        return real(u, params)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "gkdv" and getattr(mod, "conserved", None) is real:
+            monkeypatch.setattr(mod, "conserved", counting)
+    cfg = ExperimentConfig(
+        family="simulate", label="tracked", speeds=(1.0, 2.0), positions=(-20.0, 20.0),
+        grid=GridConfig(1024, 128.0, -64.0), dt=1e-3, t_final=0.1, cadence=0.02,
+        perturbation=PerturbationConfig(kind="bump", amplitude=1e-3, location="gap:1"))
+    execute(cfg, tmp_path)
+    header = (tmp_path / "series.csv").read_text().splitlines()[0].split(",")
+    table = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)
+    assert len(calls) == table.shape[0] == 6
+    col = {name: table[:, i] for i, name in enumerate(header)}
+    assert header.index("mass_drift") == header.index("newton_iterations") + 1
+    assert header.index("energy_drift") == header.index("mass_drift") + 1
+    for q in ("mass", "energy"):
+        drift = np.abs(col[q] - col[q][0]) / abs(col[q][0])
+        assert np.array_equal(col[f"{q}_drift"], drift)
 
 
 @pytest.fixture()

@@ -124,6 +124,20 @@ def test_decompose_with_additive_bump():
     assert np.max(np.abs(dec.reconstruct(P2).values - u.values)) < 1e-13
 
 
+def test_decompose_returns_its_final_residual_and_basis():
+    st_true = SolitonState((1.0, 2.2), (-25.0, 18.0))
+    u = Field(GRID, soliton_sum(P2, st_true, GRID).values
+              + 1e-3 * np.exp(-(GRID.x - 5.0) ** 2))
+    dec = decompose(u, SolitonState((0.95, 2.3), (-24.4, 18.5)), P2)
+    assert dec.iterations > 0
+    assert np.array_equal(dec.ortho_residuals, ortho_residual(u, dec.state, P2))
+    assert dec.basis.state == dec.state
+    assert np.array_equal(dec.epsilon.values, u.values - soliton_sum(P2, dec.state, GRID).values)
+    # trajectories keep their decompositions but not the cached rows
+    res = track(types.SimpleNamespace(times=[0.0, 0.1], fields=[u, u]), P2, guess=dec.state)
+    assert all(d is not None and d.basis is None for d in res.decompositions)
+
+
 def test_decompose_failure_carries_state():
     st_true = SolitonState((1.0, 2.2), (-25.0, 18.0))
     u = soliton_sum(P2, st_true, GRID)

@@ -9,6 +9,7 @@ from gkdv import (DomainTooSmallError, Field, Grid, ModelParams, ParameterError,
                   kdv_nsoliton_profile, profile_gradient_constant,
                   profile_integral_constant, profile_mass_constant,
                   sigma0_of_speeds, soliton_energy, soliton_mass, soliton_sum)
+from gkdv.profiles import SolitonBasis
 
 ALL_P = (2, 3, 4)
 
@@ -94,13 +95,15 @@ def test_qc_solves_traveling_ode(p):
 @pytest.mark.parametrize("p", ALL_P)
 @pytest.mark.parametrize("c", [0.8, 2.0])
 def test_speed_derivatives(p, c):
-    from gkdv.profiles import dQc_dc, dQcx_dc
-    x = np.linspace(-10.0, 10.0, 201)
+    # one soliton at the origin of a grid on [-10, 10): the offsets are x itself
+    grid = Grid(256, 20.0, -10.0)
+    basis = SolitonBasis(ModelParams(p), SolitonState((c,), (0.0,)), grid)
+    x = grid.x
     h = 1e-6 * c
     fd0 = (eval_Qc(p, c + h, x) - eval_Qc(p, c - h, x)) / (2 * h)
     fd1 = (eval_Qc(p, c + h, x, 1) - eval_Qc(p, c - h, x, 1)) / (2 * h)
-    assert np.max(np.abs(dQc_dc(p, c, x) - fd0)) < 1e-7
-    assert np.max(np.abs(dQcx_dc(p, c, x) - fd1)) < 1e-7
+    assert np.max(np.abs(basis.dR_dc[0] - fd0)) < 1e-7
+    assert np.max(np.abs(basis.dRx_dc[0] - fd1)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,36 @@ def test_soliton_sum_uses_minimal_image():
     a = soliton_sum(params, SolitonState((1.0,), (-120.0,)), grid)
     b = soliton_sum(params, SolitonState((1.0,), (136.0,)), grid)   # same point mod 256
     assert np.max(np.abs(a.values - b.values)) < 1e-15
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_soliton_basis_rows(p):
+    # positions on both sides of the seam at -64/+64, one of them unwrapped
+    grid = Grid(512, 128.0, -64.0)
+    state = SolitonState((0.7, 1.3, 2.1), (-50.0, 3.5, 110.25))
+    basis = SolitonBasis(ModelParams(p), state, grid)
+    total = np.zeros(grid.n)
+    for j, (c, x0) in enumerate(zip(state.speeds, state.positions)):
+        y = grid.wrap(grid.x - x0)
+        assert np.array_equal(basis.offsets[j], y)
+        for deriv, rows in enumerate((basis.R, basis.Rx, basis.Rxx)):
+            assert np.array_equal(rows[j], eval_Qc(p, c, y, deriv))
+        total += eval_Qc(p, c, y)
+    assert np.array_equal(basis.total, total)
+    assert np.array_equal(soliton_sum(ModelParams(p), state, grid).values, total)
+    other = (1.0, 1.5, 2.5)
+    assert np.array_equal(basis.rows(1, speeds=other),
+                          np.stack([eval_Qc(p, c, y, 1) for c, y in zip(other, basis.offsets)]))
+    # speed derivatives against central differences of the rows in c_j
+    for j, c in enumerate(state.speeds):
+        h = 1e-6 * c
+        moved = [np.array(state.speeds) for _ in range(2)]
+        moved[0][j] += h
+        moved[1][j] -= h
+        fd0 = (basis.rows(0, moved[0])[j] - basis.rows(0, moved[1])[j]) / (2 * h)
+        fd1 = (basis.rows(1, moved[0])[j] - basis.rows(1, moved[1])[j]) / (2 * h)
+        assert np.max(np.abs(basis.dR_dc[j] - fd0)) < 1e-7
+        assert np.max(np.abs(basis.dRx_dc[j] - fd1)) < 1e-7
 
 
 def test_soliton_sum_rejects_fat_tails():

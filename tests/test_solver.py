@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gkdv import (BlowupError, C_STAB, Field, Grid, ModelParams, ParameterError,
-                  SolitonState, SpongeConfig, StepSizeError, Stepper, conserved,
+                  SolitonState, SpongeSettings, StepSizeError, Stepper, conserved,
                   dt_stability_bound, eval_Qc, evolve, h1_distance, h1_norm,
                   kdv_nsoliton_profile, l2_norm, l2_norm_right_of,
                   read_snapshots, snapshots_to_csv, soliton_sum,
@@ -207,9 +207,9 @@ def test_temporal_convergence_nominal_band(soliton_dt_errors):
 
 def test_sponge_profile_shape():
     grid = Grid(512, 128.0, -64.0)
-    off = sponge_profile(grid, SpongeConfig(enabled=False))
+    off = sponge_profile(grid, SpongeSettings(enabled=False))
     assert np.array_equal(off, np.zeros(grid.n))
-    cfg = SpongeConfig(enabled=True, width_fraction=0.1, strength=3.0)
+    cfg = SpongeSettings(enabled=True, width_fraction=0.1, strength=3.0)
     sig = sponge_profile(grid, cfg)
     assert np.all(sig >= 0.0)
     assert sig.max() <= 3.0
@@ -221,18 +221,19 @@ def test_sponge_profile_shape():
 
 
 def test_sponge_config_validation():
-    with pytest.raises(ParameterError):
-        SpongeConfig(enabled=True, width_fraction=0.6)
-    with pytest.raises(ParameterError):
-        SpongeConfig(enabled=True, width_fraction=0.0)
-    with pytest.raises(ParameterError):
-        SpongeConfig(enabled=True, strength=-1.0)
+    grid = Grid(512, 128.0, -64.0)
+    for bad in (dict(width_fraction=0.6), dict(width_fraction=0.0), dict(strength=-1.0)):
+        with pytest.raises(ParameterError):
+            sponge_profile(grid, SpongeSettings(enabled=True, **bad))
+    # a disabled layer is never built, so its ranges are not checked
+    off = sponge_profile(grid, SpongeSettings(enabled=False, width_fraction=0.6))
+    assert np.array_equal(off, np.zeros(grid.n))
 
 
 def test_sponge_absorbs_escaping_soliton():
     grid = Grid(1024, 128.0, -64.0)
     u0 = soliton_sum(P2, SolitonState((2.0,), (45.0,)), grid)
-    sp = SpongeConfig(enabled=True, width_fraction=0.1, strength=5.0)
+    sp = SpongeSettings(enabled=True, width_fraction=0.1, strength=5.0)
     traj = evolve(u0, 12.0, P2, 1e-3, cadence=1.0, sponge=sp)
     assert not traj.conservative
     assert traj.mass[-1] < 0.3 * traj.mass[0]
