@@ -120,7 +120,9 @@ def sponge_profile(grid: Grid, cfg: SpongeSettings) -> np.ndarray:
 # stepping
 
 class Stepper:
-    """Precomputed integrating-factor RK4 stepper for one (grid, dt, p) triple."""
+    """Precomputed integrating-factor RK4 stepper for one (grid, dt, p) triple.
+    Transforms write into buffers it owns; with the absorbing layer on, u^p and
+    sigma*u go through one two-row rfft."""
 
     def __init__(self, grid: Grid, dt: float, params: ModelParams,
                  sponge: SpongeSettings | None = None):
@@ -137,31 +139,44 @@ class Stepper:
         k = grid.wavenumbers
         self.e_half = np.exp(0.5j * dt * k**3)          # exact factor for u_t = -u_xxx
         self.e_full = self.e_half**2
-        self._minus_ik = -1j * k
-        cut = grid.n // 3                               # 2/3 rule: keep |mode| <= n/3
-        self._mask = np.zeros(k.size)
-        self._mask[: cut + 1] = 1.0
-        self._minus_ik_masked = self._minus_ik * self._mask
+        self._two_e_half = 2.0 * self.e_half
+        mask = np.zeros(k.size)
+        mask[: grid.n // 3 + 1] = 1.0                   # 2/3 rule: keep |mode| <= n/3
+        self._minus_ik_masked = -1j * k * mask
         sig = sponge_profile(grid, sponge) if sponge is not None else np.zeros(grid.n)
         self._sigma = sig if np.any(sig) else None
+        rows = 1 if self._sigma is None else 2          # u^p, and sigma*u with the layer on
+        self._u = np.empty(grid.n)
+        self._flux = np.empty((rows, grid.n))
+        self._flux_hat = np.empty((rows, k.size), dtype=complex)
 
     def _rhs(self, uhat: np.ndarray) -> np.ndarray:
-        u = np.fft.irfft(uhat, self.grid.n)
-        up = u
-        for _ in range(self.p - 1):                     # integer power by repeated multiply
-            up = up * u
-        out = self._minus_ik_masked * np.fft.rfft(up)
-        if self._sigma is not None:
-            out -= np.fft.rfft(self._sigma * u)
+        """dt times the flux and damping terms at uhat, in Fourier space."""
+        u = np.fft.irfft(uhat, self.grid.n, out=self._u)
+        up = np.multiply(u, u, out=self._flux[0])
+        for _ in range(self.p - 2):                     # integer power by repeated multiply
+            up *= u
+        if self._sigma is None:
+            fh = np.fft.rfft(up, out=self._flux_hat[0])
+            out = self._minus_ik_masked * fh
+        else:
+            np.multiply(self._sigma, u, out=self._flux[1])
+            fh = np.fft.rfft(self._flux, out=self._flux_hat)
+            out = self._minus_ik_masked * fh[0]
+            out -= fh[1]
+        out *= self.dt
         return out
 
     def step_hat(self, uhat: np.ndarray) -> np.ndarray:
-        dt, E, E2 = self.dt, self.e_half, self.e_full
-        a = dt * self._rhs(uhat)
-        b = dt * self._rhs(E * (uhat + 0.5 * a))
-        c = dt * self._rhs(E * uhat + 0.5 * b)
-        d = dt * self._rhs(E2 * uhat + E * c)
-        return E2 * uhat + (E2 * a + 2.0 * E * (b + c) + d) / 6.0
+        # keep each product's operand order: numpy's complex products are not
+        # bitwise commutative, and this order reproduces earlier runs exactly
+        E, E2 = self.e_half, self.e_full
+        a = self._rhs(uhat)
+        b = self._rhs(E * (uhat + 0.5 * a))
+        c = self._rhs(E * uhat + 0.5 * b)
+        e2u = E2 * uhat
+        d = self._rhs(e2u + E * c)
+        return e2u + (E2 * a + self._two_e_half * (b + c) + d) / 6.0
 
 
 def step(u: Field, dt: float, params: ModelParams, sponge: SpongeSettings | None = None) -> Field:

@@ -1,9 +1,13 @@
-"""Shared fixtures: cached preset runs and the acceptance-gate summary."""
+"""Shared fixtures: cached preset runs, the long runs started in the
+background, and the acceptance-gate summary."""
 
+import multiprocessing
+import os
 import time
 
 import pytest
 
+import longruns
 from gkdv.harness import preset
 from gkdv.harness.runs import execute
 
@@ -56,3 +60,61 @@ def preset_run(tmp_path_factory):
 
 def check_map(report):
     return {c.name: c for c in report.checks}
+
+
+# ---------------------------------------------------------------------------
+# long runs in the background
+
+# fixture name -> run in longruns.py. When collection ends, the runs behind
+# the fixtures that the selected tests use start in one worker process, in
+# this order (the one needed first at the top), and go on beside the others.
+_LONG_RUNS = {
+    "radiation_escape": longruns.radiation_escape,
+    "conservation_drift": longruns.conservation_drift,
+}
+# how long a fixture waits for its run, counted from the run's submission;
+# the two runs take about 8 minutes together
+_LONG_RUN_LIMIT_S = 1800.0
+_started = {}   # fixture name -> (AsyncResult, submission time)
+_worker = []    # the Pool, while it runs
+
+
+def pytest_collection_finish(session):
+    if session.config.option.collectonly:
+        return
+    names = [name for name in _LONG_RUNS
+             if any(name in getattr(item, "fixturenames", ()) for item in session.items)]
+    if not names:
+        return
+    pool = multiprocessing.get_context("spawn").Pool(
+        1, initializer=longruns.exit_with_parent, initargs=(os.getpid(),))
+    _worker.append(pool)
+    for name in names:
+        _started[name] = (pool.apply_async(_LONG_RUNS[name]), time.monotonic())
+
+
+def pytest_sessionfinish(session, exitstatus):
+    while _worker:
+        pool = _worker.pop()
+        pool.terminate()
+        pool.join()
+
+
+def _long_run(name: str):
+    """The result of a run in longruns.py: waited for when it was started in
+    the background, computed here otherwise."""
+    if name not in _started:
+        return _LONG_RUNS[name]()
+    result, submitted = _started[name]
+    return result.get(timeout=max(submitted + _LONG_RUN_LIMIT_S - time.monotonic(), 1.0))
+
+
+@pytest.fixture(scope="session")
+def radiation_escape():
+    """(report, seconds) of the radiation-escape preset run."""
+    return _long_run("radiation_escape")
+
+
+@pytest.fixture(scope="session")
+def conservation_drift():
+    return _long_run("conservation_drift")

@@ -148,8 +148,8 @@ def test_criterion_6_quadratic_speed_control(preset_run):
     assert ok, detail
 
 
-def test_criterion_7_asymptotic_decay(preset_run):
-    report, _, secs = preset_run("radiation-escape")
+def test_criterion_7_asymptotic_decay(radiation_escape):
+    report, secs = radiation_escape         # the preset run, from tests/longruns.py
     cm = check_map(report)
     nonincreasing = cm["ray-mass-nonincreasing"].passed
     frac = cm["ray-mass-final-fraction"].value
