@@ -70,22 +70,30 @@ class PsiWeight:
     # -- closed-form path ---------------------------------------------------
 
     def _phi(self, x: np.ndarray) -> np.ndarray:
-        return self.c_psi * self.amplitude * _sech(self.b * x) ** self.q
+        return self._phi_of(_sech(self.b * x))
 
-    def _phi2(self, x: np.ndarray) -> np.ndarray:
-        s = _sech(self.b * x)
+    def _phi_of(self, s: np.ndarray) -> np.ndarray:
+        """psi' from s = sech(b x)."""
+        return self.c_psi * self.amplitude * s ** self.q
+
+    def _phi2_of(self, s: np.ndarray) -> np.ndarray:
+        """psi''' from s = sech(b x)."""
         q = self.q
         return self.c_psi * self.amplitude * self.b**2 * (q * q * s**q - q * (q + 1.0) * s ** (q + 2.0))
 
     def psi(self, x, deriv: int = 0, method: str = "closed"):
-        """psi (deriv 0), psi' (deriv 1) or psi''' (deriv 3) at x."""
+        """psi (deriv 0), psi' (deriv 1) or psi''' (deriv 3) at x; deriv=(1, 3)
+        gives the pair (psi', psi''') from one sech evaluation."""
         x = np.asarray(x, dtype=np.float64)
         if deriv == 1:
             return self._phi(x)
         if deriv == 3:
-            return self._phi2(x)
+            return self._phi2_of(_sech(self.b * x))
+        if deriv == (1, 3):
+            s = _sech(self.b * x)
+            return self._phi_of(s), self._phi2_of(s)
         if deriv != 0:
-            raise ParameterError(f"deriv must be 0, 1 or 3, got {deriv}")
+            raise ParameterError(f"deriv must be 0, 1, 3 or (1, 3), got {deriv}")
         if method == "closed":
             # swapped-argument incomplete beta: sech^2 stays accurate where
             # tanh^2 would round to 1 and silently drop the far tail
@@ -215,8 +223,7 @@ def localized_mass_rate_terms(u: Field, m: float, w: PsiWeight,
     """
     h = u.grid.spacing
     xs = u.grid.x - m
-    phi = w.psi(xs, 1)
-    phi2 = w.psi(xs, 3)
+    phi, phi2 = w.psi(xs, (1, 3))
     ux = spectral_derivative(u, 1).values
     v = u.values
     p = params.p

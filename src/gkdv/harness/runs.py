@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -334,11 +335,6 @@ def _log_slope(xs, ys) -> tuple[float, float]:
     return float(coeffs[0]), float(coeffs[1])
 
 
-def _line_slope(xs, ys) -> tuple[float, float]:
-    coeffs = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
-    return float(coeffs[0]), float(coeffs[1])
-
-
 # ---------------------------------------------------------------------------
 # family drivers
 
@@ -467,17 +463,61 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> RunReport:
                                         "matvecs_unconstrained": res_u.matvecs})
 
 
-def _sweep_run(cfg: ExperimentConfig, params, separation: float):
-    """One tracked evolution with solitons placed at +-separation/2."""
-    grid = cfg.grid.build()
-    state = SolitonState(cfg.speeds, (-0.5 * separation, 0.5 * separation))
-    u0 = _initial_field(cfg, params, grid, state)
-    collector = DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
-                                     tol=cfg.track.tol, y0=cfg.y0,
-                                     ref_index=cfg.ref_index)
-    traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
-                  sponge=cfg.sponge, observer=collector, keep_fields=False)
-    return collector, traj
+def _sweep(cfg: ExperimentConfig, params, outdir: Path, key: str, limbs, build, measure):
+    """Evolve every limb of a sweep as one stack and write series.csv.
+
+    build(limb) gives the limb's (u0, collector) and measure(collector) its
+    per-limb result. A GkdvError while building, evolving or measuring a limb
+    becomes one failure record for it, with t_last when the evolution had
+    started; the other limbs go on. Returns [(limb, collector, result)] for
+    the completed limbs and the failure records, both in limb order. The
+    series tables of the completed limbs are concatenated under a `key`
+    column.
+    """
+    outcomes = []                                   # per limb: (u0, collector) or its error
+    for limb in limbs:
+        try:
+            outcomes.append(build(limb))
+        except GkdvError as exc:
+            outcomes.append(exc)
+    stack = [out for out in outcomes if not isinstance(out, GkdvError)]
+    trajs = iter(evolve([u0 for u0, _ in stack], cfg.t_final, params, cfg.dt,
+                        cadence=cfg.cadence, sponge=cfg.sponge,
+                        observer=[c for _, c in stack], keep_fields=False))
+    done, failures, columns = [], [], {}
+    for limb, out in zip(limbs, outcomes):
+        try:
+            if isinstance(out, GkdvError):
+                raise out
+            collector, traj = out[1], next(trajs)
+            if isinstance(traj, GkdvError):
+                raise traj
+            result = measure(collector)
+        except GkdvError as exc:
+            rec = {key: limb, "error": f"{type(exc).__name__}: {exc}"}
+            if getattr(exc, "t_last", None) is not None:
+                rec["t_last"] = exc.t_last
+            failures.append(rec)
+            continue
+        done.append((limb, collector, result))
+        table = collector.table(traj)
+        for k, v in {key: np.full(table["t"].size, limb), **table}.items():
+            columns.setdefault(k, []).append(v)
+    if columns:
+        write_series_csv(outdir / "series.csv",
+                         [(k, np.concatenate(v)) for k, v in columns.items()])
+    return done, failures
+
+
+def _amplitude_limb(cfg: ExperimentConfig, params, grid, state, alpha: float):
+    """Initial data and collector of one amplitude limb; alpha = 0 is the bare
+    soliton sum."""
+    if alpha > 0:
+        acfg = cfg.with_updates(perturbation=replace(cfg.perturbation, amplitude=alpha))
+        u0 = _initial_field(acfg, params, grid, state)
+    else:
+        u0 = soliton_sum(params, state, grid)
+    return u0, DiagnosticsCollector(params, state, l_min=cfg.track.l_min, tol=cfg.track.tol)
 
 
 def _sup_speed_drift(collector: DiagnosticsCollector) -> float:
@@ -497,39 +537,15 @@ def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     params, grid, state = _build(cfg)
     thr = thresholds_for(cfg)
     alphas = list(cfg.alphas) if cfg.alphas else [0.0, cfg.perturbation.amplitude]
-    done, sup_dist, sup_dc, failures = [], [], [], []
-    all_pairs = None
-    for alpha in alphas:
-        try:
-            if alpha > 0:
-                acfg = cfg.with_updates(perturbation=replace(cfg.perturbation,
-                                                             amplitude=alpha))
-                u0 = _initial_field(acfg, params, grid, state)
-            else:
-                u0 = soliton_sum(params, state, grid)
-            collector = DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
-                                             tol=cfg.track.tol)
-            traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
-                          sponge=cfg.sponge, observer=collector, keep_fields=False)
-            dist = float(np.nanmax(np.asarray(collector.dist_frozen)))
-            drift = _sup_speed_drift(collector)
-        except GkdvError as exc:
-            failures.append({"alpha": alpha,
-                             "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        done.append(alpha)
-        sup_dist.append(dist)
-        sup_dc.append(drift)
-        table = collector.table(traj)
-        table = {"alpha": np.full(table["t"].size, alpha), **table}
-        if all_pairs is None:
-            all_pairs = {k: [v] for k, v in table.items()}
-        else:
-            for k, v in table.items():
-                all_pairs[k].append(v)
-    if all_pairs is not None:
-        write_series_csv(outdir / "series.csv",
-                         [(k, np.concatenate(v)) for k, v in all_pairs.items()])
+
+    def measure(collector):
+        return (float(np.nanmax(np.asarray(collector.dist_frozen))),
+                _sup_speed_drift(collector))
+
+    limbs, failures = _sweep(cfg, params, outdir, "alpha", alphas,
+                             partial(_amplitude_limb, cfg, params, grid, state), measure)
+    done = [alpha for alpha, _, _ in limbs]
+    sup_dist, sup_dc = ([r[i] for _, _, r in limbs] for i in range(2))
 
     checks = []
     if alphas[0] == 0.0:
@@ -584,34 +600,27 @@ def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
 def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     params = ModelParams(cfg.p)
     thr = thresholds_for(cfg)
-    seps, increases, collectors, failures = [], [], [], []
-    all_pairs = None
-    for L in cfg.sweep_separations:
-        try:
-            collector, traj = _sweep_run(cfg, params, L)
-            masses = collector.mass_matrix
-            finite = np.all(np.isfinite(masses), axis=1)
-            if not finite[0]:
-                raise ParameterError("tracking failed at t=0; no baseline mass")
-        except GkdvError as exc:
-            failures.append({"separation": L,
-                             "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        collectors.append(collector)
-        table = collector.table(traj)
-        base = masses[finite][0]
-        inc = float(np.nanmax(masses[finite] - base))
-        seps.append(L)
-        increases.append(max(inc, 0.0))
-        table = {"separation": np.full(table["t"].size, L), **table}
-        if all_pairs is None:
-            all_pairs = {k: [v] for k, v in table.items()}
-        else:
-            for k, v in table.items():
-                all_pairs[k].append(v)
-    if all_pairs is not None:
-        write_series_csv(outdir / "series.csv",
-                         [(k, np.concatenate(v)) for k, v in all_pairs.items()])
+    grid = cfg.grid.build()
+
+    def build(sep):
+        state = SolitonState(cfg.speeds, (-0.5 * sep, 0.5 * sep))
+        return (_initial_field(cfg, params, grid, state),
+                DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
+                                     tol=cfg.track.tol, y0=cfg.y0,
+                                     ref_index=cfg.ref_index))
+
+    def measure(collector):
+        masses = collector.mass_matrix
+        finite = np.all(np.isfinite(masses), axis=1)
+        if not finite[0]:
+            raise ParameterError("tracking failed at t=0; no baseline mass")
+        return max(float(np.nanmax(masses[finite] - masses[finite][0])), 0.0)
+
+    limbs, failures = _sweep(cfg, params, outdir, "separation", cfg.sweep_separations,
+                             build, measure)
+    seps = [sep for sep, _, _ in limbs]
+    collectors = [collector for _, collector, _ in limbs]
+    increases = [inc for _, _, inc in limbs]
 
     checks = []
     if not seps:
@@ -659,7 +668,6 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
 
     # fine-cadence identity verification at the smallest separation
     ident_cfg = cfg.with_updates(t_final=cfg.identity_t, cadence=cfg.identity_cadence)
-    grid = ident_cfg.grid.build()
     state = SolitonState(ident_cfg.speeds,
                          (-0.5 * cfg.sweep_separations[0], 0.5 * cfg.sweep_separations[0]))
     u0 = _initial_field(ident_cfg, params, grid, state)
@@ -700,37 +708,17 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
 def run_quadratic_control(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     params, grid, state = _build(cfg)
     thr = thresholds_for(cfg)
-    done, sup_dc, sup_eps, eps0, failures = [], [], [], [], []
-    all_pairs = None
-    for alpha in cfg.alphas:
-        try:
-            acfg = cfg.with_updates(perturbation=replace(cfg.perturbation,
-                                                         amplitude=alpha))
-            u0 = _initial_field(acfg, params, grid, state)
-            collector = DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
-                                             tol=cfg.track.tol)
-            traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
-                          sponge=cfg.sponge, observer=collector, keep_fields=False)
-        except GkdvError as exc:
-            failures.append({"alpha": alpha,
-                             "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        done.append(alpha)
-        sup_dc.append(_sup_speed_drift(collector))
+
+    def measure(collector):
         eps_series = np.asarray(collector.eps_h1)
-        sup_eps.append(float(np.nanmax(eps_series)))
         finite = eps_series[np.isfinite(eps_series)]
-        eps0.append(float(finite[0]) if finite.size else float("nan"))
-        table = collector.table(traj)
-        table = {"alpha": np.full(table["t"].size, alpha), **table}
-        if all_pairs is None:
-            all_pairs = {k: [v] for k, v in table.items()}
-        else:
-            for k, v in table.items():
-                all_pairs[k].append(v)
-    if all_pairs is not None:
-        write_series_csv(outdir / "series.csv",
-                         [(k, np.concatenate(v)) for k, v in all_pairs.items()])
+        return (_sup_speed_drift(collector), float(np.nanmax(eps_series)),
+                float(finite[0]) if finite.size else float("nan"))
+
+    limbs, failures = _sweep(cfg, params, outdir, "alpha", cfg.alphas,
+                             partial(_amplitude_limb, cfg, params, grid, state), measure)
+    done = [alpha for alpha, _, _ in limbs]
+    sup_dc, sup_eps, eps0 = ([r[i] for _, _, r in limbs] for i in range(3))
 
     checks, fits = [], []
     usable = [i for i, v in enumerate(sup_dc) if v > thr["drift_floor"]]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, ParameterError, StepSizeError
+from .errors import BlowupError, GkdvError, ParameterError, StepSizeError
 from .grid import Field, Grid
 from .profiles import ModelParams
 
@@ -121,8 +121,8 @@ def sponge_profile(grid: Grid, cfg: SpongeSettings) -> np.ndarray:
 
 class Stepper:
     """Precomputed integrating-factor RK4 stepper for one (grid, dt, p) triple.
-    Transforms write into buffers it owns; with the absorbing layer on, u^p and
-    sigma*u go through one two-row rfft."""
+    Transforms write into buffers it owns, sized to the last stack stepped;
+    with the absorbing layer on, u^p and sigma*u go through one two-row rfft."""
 
     def __init__(self, grid: Grid, dt: float, params: ModelParams,
                  sponge: SpongeSettings | None = None):
@@ -145,29 +145,36 @@ class Stepper:
         self._minus_ik_masked = -1j * k * mask
         sig = sponge_profile(grid, sponge) if sponge is not None else np.zeros(grid.n)
         self._sigma = sig if np.any(sig) else None
-        rows = 1 if self._sigma is None else 2          # u^p, and sigma*u with the layer on
-        self._u = np.empty(grid.n)
-        self._flux = np.empty((rows, grid.n))
-        self._flux_hat = np.empty((rows, k.size), dtype=complex)
+        self._buffers(())
+
+    def _buffers(self, batch: tuple) -> None:
+        """Transform buffers for a stack of the given leading shape: the field,
+        and (u^p, sigma*u) with the layer on."""
+        rows = 1 if self._sigma is None else 2
+        self._u = np.empty(batch + (self.grid.n,))
+        self._flux = np.empty(batch + (rows, self.grid.n))
+        self._flux_hat = np.empty(batch + (rows, self.e_half.size), dtype=complex)
 
     def _rhs(self, uhat: np.ndarray) -> np.ndarray:
         """dt times the flux and damping terms at uhat, in Fourier space."""
         u = np.fft.irfft(uhat, self.grid.n, out=self._u)
-        up = np.multiply(u, u, out=self._flux[0])
+        up = np.multiply(u, u, out=self._flux[..., 0, :])
         for _ in range(self.p - 2):                     # integer power by repeated multiply
             up *= u
-        if self._sigma is None:
-            fh = np.fft.rfft(up, out=self._flux_hat[0])
-            out = self._minus_ik_masked * fh
-        else:
-            np.multiply(self._sigma, u, out=self._flux[1])
-            fh = np.fft.rfft(self._flux, out=self._flux_hat)
-            out = self._minus_ik_masked * fh[0]
-            out -= fh[1]
+        if self._sigma is not None:
+            np.multiply(self._sigma, u, out=self._flux[..., 1, :])
+        fh = np.fft.rfft(self._flux, out=self._flux_hat)
+        out = self._minus_ik_masked * fh[..., 0, :]
+        if self._sigma is not None:
+            out -= fh[..., 1, :]
         out *= self.dt
         return out
 
     def step_hat(self, uhat: np.ndarray) -> np.ndarray:
+        """One step of uhat, a spectrum or a (B, n//2 + 1) stack of them; rows
+        are transformed along the last axis and never mix."""
+        if self._u.shape[:-1] != uhat.shape[:-1]:
+            self._buffers(uhat.shape[:-1])
         # keep each product's operand order: numpy's complex products are not
         # bitwise commutative, and this order reproduces earlier runs exactly
         E, E2 = self.e_half, self.e_full
@@ -227,57 +234,101 @@ def _steps_for(total: float, dt: float, what: str) -> int:
     return n
 
 
-def evolve(u0: Field, t_final: float, params: ModelParams, dt: float,
+def evolve(u0: Field | list, t_final: float, params: ModelParams, dt: float,
            cadence: float | None = None, sponge: SpongeSettings | None = None,
-           observer=None, keep_fields: bool = True) -> Trajectory:
+           observer=None, keep_fields: bool = True) -> Trajectory | list:
     """Evolve initial data to t_final, recording snapshots every `cadence`.
 
     observer(t, Field), when given, is called at every snapshot (including
     t=0); set keep_fields=False to stream through the observer without
     retaining snapshot fields in memory. On blowup a BlowupError is raised
     carrying the partial trajectory and the last time known finite.
+
+    Given a list of fields on one grid, with a list of one observer (or None)
+    per field, evolve steps them as one stack and returns a list holding each
+    member's Trajectory or the GkdvError that stopped it. A member whose
+    values go non-finite, or whose observer raises a GkdvError, leaves the
+    stack, and that error carries its t_last and partial trajectory. Rows
+    never mix, so the other members are unaffected.
     """
+    single = isinstance(u0, Field)
+    starts = [u0] if single else list(u0)
+    observers = [observer] if single else list(observer or [None] * len(starts))
+    if len(observers) != len(starts):
+        raise ParameterError(f"{len(observers)} observers for {len(starts)} fields")
     n_steps = _steps_for(t_final, dt, "t_final")
     cadence = dt if cadence is None else cadence
     every = _steps_for(cadence, dt, "cadence")
     if n_steps % every != 0:
         raise ParameterError(f"t_final/dt={n_steps} must be a multiple of cadence/dt={every}")
+    if not starts:
+        return []
+    grid = starts[0].grid
+    if any(f.grid != grid for f in starts):
+        raise ParameterError("stacked fields must share one grid")
 
-    stepper = Stepper(u0.grid, dt, params, sponge)
-    uhat = np.fft.rfft(u0.values)
-    times, fields, mass, energy = [], [], [], []
+    stepper = Stepper(grid, dt, params, sponge)
+    series = [([], [], [], []) for _ in starts]       # times, fields, mass, energy per member
+    results = [None] * len(starts)
+    alive = list(range(len(starts)))                  # member of each stack row
+    uhat = np.fft.rfft(np.stack([f.values for f in starts]))
     t_last_finite = 0.0
 
-    def _snapshot(i_step: int) -> None:
-        t = i_step * dt
-        u = Field(u0.grid, np.fft.irfft(uhat, u0.grid.n))
-        q = conserved(u, params)
-        times.append(t)
-        mass.append(q.mass)
-        energy.append(q.energy)
-        if keep_fields:
-            fields.append(u)
-        if observer is not None:
-            observer(t, u)
-
-    def _partial() -> Trajectory:
-        return Trajectory(params=params, grid=u0.grid, dt=dt, cadence=every * dt,
+    def _partial(k: int) -> Trajectory:
+        times, fields, mass, energy = series[k]
+        return Trajectory(params=params, grid=grid, dt=dt, cadence=every * dt,
                           times=np.asarray(times), fields=fields,
                           mass=np.asarray(mass), energy=np.asarray(energy),
                           conservative=stepper._sigma is None)
 
+    def _drop(failed: dict) -> None:
+        """Take the failed rows (row -> error) out of the stack."""
+        nonlocal uhat, alive
+        for row, exc in failed.items():
+            exc.t_last, exc.trajectory = t_last_finite, _partial(alive[row])
+            results[alive[row]] = exc
+        keep = [row for row in range(len(alive)) if row not in failed]
+        uhat, alive = uhat[keep], [alive[row] for row in keep]
+
+    def _snapshot(i_step: int) -> None:
+        t = i_step * dt
+        vals = np.fft.irfft(uhat, grid.n)             # one transform: check and snapshot
+        failed = {}
+        for row, finite in enumerate(np.isfinite(vals).all(axis=-1)):
+            if not finite:
+                failed[row] = BlowupError(f"blowup detected near t={t:g}")
+                continue
+            times, fields, mass, energy = series[alive[row]]
+            u = Field(grid, vals[row])
+            q = conserved(u, params)
+            times.append(t)
+            mass.append(q.mass)
+            energy.append(q.energy)
+            if keep_fields:
+                fields.append(u)
+            if observers[alive[row]] is not None:
+                try:
+                    observers[alive[row]](t, u)
+                except GkdvError as exc:
+                    failed[row] = exc
+        if failed:
+            _drop(failed)
+
     _snapshot(0)
     for i in range(1, n_steps + 1):
+        if not alive:
+            break
         uhat = stepper.step_hat(uhat)
         if i % _BLOWUP_CHECK_EVERY == 0 or i == n_steps:
-            if not np.all(np.isfinite(uhat)):
-                raise BlowupError(f"blowup detected near t={i * dt:g}",
-                                  t_last=t_last_finite, trajectory=_partial())
+            finite = np.isfinite(uhat).all(axis=-1)
+            if not finite.all():
+                _drop({int(row): BlowupError(f"blowup detected near t={i * dt:g}")
+                       for row in np.flatnonzero(~finite)})
             t_last_finite = i * dt
-        if i % every == 0:
-            vals = np.fft.irfft(uhat, u0.grid.n)
-            if not np.all(np.isfinite(vals)):
-                raise BlowupError(f"blowup detected near t={i * dt:g}",
-                                  t_last=t_last_finite, trajectory=_partial())
+        if i % every == 0 and alive:
             _snapshot(i)
-    return _partial()
+    for k in alive:
+        results[k] = _partial(k)
+    if single and isinstance(results[0], GkdvError):
+        raise results[0]
+    return results[0] if single else results

@@ -69,6 +69,15 @@ def test_psi_derivatives_consistent():
     assert np.max(np.abs(fd3 - w.psi(xs, 3))) < 1e-7
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_psi_derivative_pair_matches_single_calls(p):
+    w = PsiWeight(p, 0.5)
+    xs = np.linspace(-60.0, 60.0, 1001)
+    phi, phi3 = w.psi(xs, (1, 3))
+    assert np.array_equal(phi, w.psi(xs, 1))
+    assert np.array_equal(phi3, w.psi(xs, 3))
+
+
 def test_psi_increment_normalized():
     w = PsiWeight(3, 0.25)
     total, err = quad(lambda x: float(w.psi(np.array([x]), 1)[0]),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkdv import (BlowupError, ConfigValidationError, Grid, ParameterError,
+from gkdv import (ConfigValidationError, Field, Grid, ParameterError,
                   read_snapshots)
 from gkdv import solver as solver_mod
 from gkdv.harness import runs as runs_mod
@@ -363,24 +363,26 @@ def test_stability_sweep_clean(tmp_path, small_stability_cfg):
 
 def test_stability_sweep_isolates_failed_limb(tmp_path, monkeypatch,
                                               small_stability_cfg):
-    # a limb that blows up must be recorded and skipped, not abort the sweep
-    real_evolve = runs_mod.evolve
-    calls = {"n": 0}
+    # a limb that blows up must be recorded and skipped, not abort the sweep:
+    # the alpha = 3e-3 limb starts 300 times too large and really blows up
+    real_initial_field = runs_mod._initial_field
 
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 2:                     # the alpha = 3e-3 limb
-            raise BlowupError("synthetic blowup", t_last=0.25)
-        return real_evolve(*args, **kwargs)
+    def oversized(cfg, *args):
+        u0 = real_initial_field(cfg, *args)
+        if cfg.perturbation.amplitude == 3e-3:
+            return Field(u0.grid, 300.0 * u0.values)
+        return u0
 
-    monkeypatch.setattr(runs_mod, "evolve", flaky)
-    report = execute(small_stability_cfg, tmp_path)
+    monkeypatch.setattr(runs_mod, "_initial_field", oversized)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = execute(small_stability_cfg, tmp_path)
     assert not report.passed
     assert report.extras["alphas"] == [0.0, 1e-2]
     assert len(report.extras["failures"]) == 1
     rec = report.extras["failures"][0]
     assert rec["alpha"] == 3e-3
     assert rec["error"].startswith("BlowupError")
+    assert 0.0 <= rec["t_last"] < small_stability_cfg.t_final
     by_name = {c.name: c for c in report.checks}
     assert by_name["baseline-distance"].passed
     assert by_name["distance-over-amplitude"].passed

@@ -119,6 +119,95 @@ def test_blowup_reports_last_finite_time():
 
 
 # ---------------------------------------------------------------------------
+# stacked evolution
+
+def _recorder(seen):
+    return lambda t, u: seen.append((t, u.values.copy()))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("sponge", [False, True])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_stacked_evolve_matches_sequential(p, sponge, batch):
+    grid = Grid(512, 128.0, -64.0)
+    params = ModelParams(p)
+    sp = SpongeSettings(enabled=True, width_fraction=0.1, strength=5.0) if sponge else None
+    base = soliton_sum(params, SolitonState((1.0, 2.0), (-20.0, 20.0)), grid).values
+    u0s = [Field(grid, base + a * np.exp(-(grid.x - 3.0) ** 2 / 25.0))
+           for a in (0.0, 1e-2, 3e-2)[:batch]]
+    seen = [[] for _ in u0s]
+    stacked = evolve(u0s, 0.1, params, 1e-3, cadence=0.02, sponge=sp,
+                     observer=[_recorder(s) for s in seen])
+    assert len(stacked) == batch
+    stepper = Stepper(grid, 1e-3, params, sp)
+    for u0, traj, got in zip(u0s, stacked, seen):
+        mine = []
+        solo = evolve(u0, 0.1, params, 1e-3, cadence=0.02, sponge=sp,
+                      observer=_recorder(mine))
+        assert traj.conservative == solo.conservative == (not sponge)
+        for name in ("times", "mass", "energy"):
+            assert np.array_equal(getattr(traj, name), getattr(solo, name))
+        for a, b in zip(traj.fields, solo.fields):
+            assert np.array_equal(a.values, b.values)
+        assert [t for t, _ in got] == [t for t, _ in mine]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, mine))
+        # and against one-dimensional stepping of the same row
+        uhat = np.fft.rfft(u0.values)
+        for _ in range(100):
+            uhat = stepper.step_hat(uhat)
+        assert np.array_equal(traj.fields[-1].values, np.fft.irfft(uhat, grid.n))
+
+
+def test_stacked_evolve_isolates_failed_members():
+    grid = Grid(512, 64.0, -32.0)
+    dt = dt_stability_bound(grid)
+    cadence = 32 * dt
+
+    class Refuses:
+        """Observer that raises a package error from t = 2 * cadence on."""
+
+        def __init__(self):
+            self.error = None
+
+        def __call__(self, t, u):
+            if t >= 2 * cadence:
+                self.error = ParameterError("synthetic observer failure")
+                raise self.error
+
+    def fresh():
+        return [soliton_sum(P2, SolitonState((1.0,), (-10.0,)), grid),
+                Field(grid, 300.0 * np.exp(-grid.x**2)),         # blows up
+                soliton_sum(P2, SolitonState((1.5,), (0.0,)), grid),
+                soliton_sum(P2, SolitonState((2.0,), (10.0,)), grid)]
+
+    u0s = fresh()
+    refuses = Refuses()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = evolve(u0s, 1.0, P2, dt, cadence=cadence, observer=[None, None, refuses, None])
+        with pytest.raises(BlowupError) as solo_blowup:
+            evolve(u0s[1], 1.0, P2, dt, cadence=cadence)
+    for k in (0, 3):                                    # survivors: as if run alone
+        solo = evolve(u0s[k], 1.0, P2, dt, cadence=cadence)
+        assert np.array_equal(out[k].times, solo.times)
+        assert np.array_equal(out[k].mass, solo.mass)
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(out[k].fields, solo.fields))
+    blown = out[1]
+    assert isinstance(blown, BlowupError)
+    assert str(blown) == str(solo_blowup.value)
+    assert blown.t_last == solo_blowup.value.t_last < 1.0
+    assert np.array_equal(blown.trajectory.times, solo_blowup.value.trajectory.times)
+    refused = out[2]
+    assert refused is refuses.error
+    assert refused.trajectory.times[-1] == 2 * cadence
+    assert refused.t_last == 50 * dt                    # the last finite-value check
+    with pytest.raises(ParameterError) as solo_refused:
+        evolve(u0s[2], 1.0, P2, dt, cadence=cadence, observer=Refuses())
+    assert solo_refused.value.t_last == refused.t_last
+    assert np.array_equal(solo_refused.value.trajectory.mass, refused.trajectory.mass)
+
+
+# ---------------------------------------------------------------------------
 # propagation fidelity
 
 def test_single_soliton_propagation_small_grid():
