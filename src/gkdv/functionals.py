@@ -24,7 +24,7 @@ from .grid import Field, Grid
 from .modulation import Decomposition
 from .profiles import (ModelParams, SolitonBasis, SolitonState, _check_p, _sech,
                        soliton_energy)
-from .solver import spectral_derivative
+from .solver import _int_power
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +224,10 @@ def localized_mass_rate_terms(u: Field, m: float, w: PsiWeight,
     h = u.grid.spacing
     xs = u.grid.x - m
     phi, phi2 = w.psi(xs, (1, 3))
-    ux = spectral_derivative(u, 1).values
+    ux = u.dx
     v = u.values
     p = params.p
-    S1 = h * float(np.sum((-3.0 * ux * ux + (2.0 * p / (p + 1.0)) * v ** (p + 1)) * phi
+    S1 = h * float(np.sum((-3.0 * ux * ux + (2.0 * p / (p + 1.0)) * _int_power(v, p + 1)) * phi
                           + v * v * phi2))
     S2 = h * float(np.sum(v * v * phi))
     return S1, S2
@@ -285,8 +285,7 @@ def bilinear_form(f: Field, g: Field, dec_or_state, w: PsiWeight,
     grid = f.grid
     R = _basis_of(dec_or_state, params, grid).total
     ramp = speed_ramp(dec_or_state, w, grid)
-    fx = spectral_derivative(f, 1).values
-    gx = spectral_derivative(g, 1).values
+    fx, gx = f.dx, g.dx
     h = grid.spacing
     return h * float(np.sum(fx * gx + (-params.p * R ** (params.p - 1) + ramp) * f.values * g.values))
 
@@ -299,7 +298,7 @@ def linearized_energy_form(eps: Field, dec_or_state, params: ModelParams) -> flo
     """int eps_x^2 - p R^(p-1) eps^2 (no speed ramp), the energy Hessian term."""
     grid = eps.grid
     R = _basis_of(dec_or_state, params, grid).total
-    ex = spectral_derivative(eps, 1).values
+    ex = eps.dx
     h = grid.spacing
     return h * float(np.sum(ex * ex - params.p * R ** (params.p - 1) * eps.values**2))
 

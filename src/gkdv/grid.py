@@ -51,15 +51,26 @@ class Grid:
         """Nonnegative wavenumbers of the real transform, 2*pi*m/length."""
         return (2.0 * np.pi / self.length) * np.arange(self.n // 2 + 1)
 
+    @cached_property
+    def derivative_symbol(self) -> np.ndarray:
+        """i*k of the first derivative, with the Nyquist mode zeroed: its
+        derivative is not representable on the real grid."""
+        sym = 1j * self.wavenumbers
+        sym[-1] = 0.0
+        return sym
+
     def wrap(self, dx: np.ndarray | float) -> np.ndarray | float:
         """Minimal-image displacement, mapped into [-length/2, length/2)."""
         half = 0.5 * self.length
         return np.mod(np.asarray(dx) + half, self.length) - half
 
 
-@dataclass
+@dataclass(frozen=True)
 class Field:
-    """Real field sampled on a periodic grid. Values must be finite."""
+    """Real field sampled on a periodic grid. Values must be finite.
+
+    Frozen, so that the cached first derivative dx cannot go stale.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -70,7 +81,12 @@ class Field:
             raise ParameterError(f"field shape {v.shape} does not match grid size {self.grid.n}")
         if not np.all(np.isfinite(v)):
             raise ParameterError("field contains non-finite values")
-        self.values = v
+        object.__setattr__(self, "values", v)
+
+    @cached_property
+    def dx(self) -> np.ndarray:
+        """Spectral first derivative of the values, transformed once per field."""
+        return np.fft.irfft(self.grid.derivative_symbol * np.fft.rfft(self.values), self.grid.n)
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())

@@ -26,8 +26,7 @@ from ..profiles import (ModelParams, SolitonBasis, SolitonState,
                         kdv_nsoliton_profile, profile_mass_constant,
                         soliton_energy, soliton_sum)
 from ..snapio import write_snapshots
-from ..solver import (Trajectory, evolve, h1_norm, l2_norm, l2_norm_right_of,
-                      spectral_derivative)
+from ..solver import Trajectory, evolve, h1_norm, l2_norm, l2_norm_right_of
 from .config import ExperimentConfig, config_to_dict
 from .perturbations import make_perturbation
 
@@ -221,7 +220,7 @@ class DiagnosticsCollector:
             cut = float(np.min(st.position_array)) - self.y0
             wts = self.weight.psi(u.grid.x - cut)
             ev = dec.epsilon.values
-            ex = spectral_derivative(dec.epsilon, 1).values
+            ex = dec.epsilon.dx
             self.eps_ahead.append(float(np.sqrt(
                 u.grid.spacing * np.sum((ev * ev + ex * ex) * wts))))
         else:

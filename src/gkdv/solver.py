@@ -30,21 +30,30 @@ def dt_stability_bound(grid: Grid) -> float:
     return C_STAB * grid.spacing**3
 
 
-def spectral_derivative(f: Field, order: int = 1) -> Field:
-    """Fourier derivative of the given order (1, 2 or 3).
+def _int_power(v: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """v**k for an integer k >= 2, by repeated multiplication.
 
-    Odd orders zero the Nyquist mode, whose first derivative is not
-    representable on the real grid.
+    numpy's ** calls pow, which is slow on arrays with negative entries: on an
+    n = 8192 float64 array, v**3 takes 735 us with negative entries and 41 us
+    with none, while v*v*v takes 13 us (numpy 2.4.6, AVX-512 host). Each
+    product rounds once, so the relative error stays within about (k - 1)/2
+    machine epsilons, against about 1/2 for pow.
     """
+    out = np.multiply(v, v, out=out)
+    for _ in range(k - 2):
+        out *= v
+    return out
+
+
+def spectral_derivative(f: Field, order: int = 1) -> Field:
+    """Fourier derivative of the given order (1, 2 or 3): that many
+    applications of the cached first derivative Field.dx, which zeroes the
+    Nyquist mode."""
     if order not in (1, 2, 3):
         raise ParameterError(f"derivative order must be 1, 2 or 3, got {order}")
-    k = f.grid.wavenumbers
-    fh = np.fft.rfft(f.values)
-    sym = (1j * k) ** order
-    if order % 2 == 1 and f.grid.n % 2 == 0:
-        sym = sym.copy()
-        sym[-1] = 0.0
-    return Field(f.grid, np.fft.irfft(sym * fh, f.grid.n))
+    for _ in range(order):
+        f = Field(f.grid, f.dx)
+    return f
 
 
 @dataclass(frozen=True)
@@ -59,8 +68,8 @@ def conserved(u: Field, params: ModelParams) -> ConservedQuantities:
     h = u.grid.spacing
     v = u.values
     mass = h * float(np.sum(v * v))
-    ux = spectral_derivative(u, 1).values
-    energy = h * float(0.5 * np.sum(ux * ux) - np.sum(v ** (params.p + 1)) / (params.p + 1))
+    ux = u.dx
+    energy = h * float(0.5 * np.sum(ux * ux) - np.sum(_int_power(v, params.p + 1)) / (params.p + 1))
     return ConservedQuantities(mass=mass, energy=energy)
 
 
@@ -69,7 +78,7 @@ def l2_norm(u: Field) -> float:
 
 
 def h1_norm(u: Field) -> float:
-    ux = spectral_derivative(u, 1).values
+    ux = u.dx
     return math.sqrt(u.grid.spacing * float(np.sum(u.values**2) + np.sum(ux * ux)))
 
 
@@ -158,9 +167,7 @@ class Stepper:
     def _rhs(self, uhat: np.ndarray) -> np.ndarray:
         """dt times the flux and damping terms at uhat, in Fourier space."""
         u = np.fft.irfft(uhat, self.grid.n, out=self._u)
-        up = np.multiply(u, u, out=self._flux[..., 0, :])
-        for _ in range(self.p - 2):                     # integer power by repeated multiply
-            up *= u
+        _int_power(u, self.p, out=self._flux[..., 0, :])
         if self._sigma is not None:
             np.multiply(self._sigma, u, out=self._flux[..., 1, :])
         fh = np.fft.rfft(self._flux, out=self._flux_hat)
@@ -311,6 +318,7 @@ def evolve(u0: Field | list, t_final: float, params: ModelParams, dt: float,
                     observers[alive[row]](t, u)
                 except GkdvError as exc:
                     failed[row] = exc
+            vars(u).pop("dx", None)                   # a kept field holds its values only
         if failed:
             _drop(failed)
 

@@ -322,20 +322,53 @@ def test_tracked_run_computes_conserved_once_per_snapshot(tmp_path, monkeypatch)
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "gkdv" and getattr(mod, "conserved", None) is real:
             monkeypatch.setattr(mod, "conserved", counting)
+    # FFT calls, and their count at the start and end of every step and at
+    # the end of the evolution; the gap after a step is its snapshot's work
+    ffts, marks = [], []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            ffts.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    real_step, real_evolve = solver_mod.Stepper.step_hat, runs_mod.evolve
+
+    def stepping(self, uhat):
+        marks.append(len(ffts))
+        out = real_step(self, uhat)
+        marks.append(len(ffts))
+        return out
+
+    def evolving(*args, **kwargs):
+        out = real_evolve(*args, **kwargs)
+        marks.append(len(ffts))
+        return out
+
+    monkeypatch.setattr(solver_mod.Stepper, "step_hat", stepping)
+    monkeypatch.setattr(runs_mod, "evolve", evolving)
     cfg = ExperimentConfig(
-        family="simulate", label="tracked", speeds=(1.0, 2.0), positions=(-20.0, 20.0),
-        grid=GridConfig(1024, 128.0, -64.0), dt=1e-3, t_final=0.1, cadence=0.02,
+        family="simulate", label="tracked", speeds=(1.0, 2.0, 3.0),
+        positions=(-40.0, 0.0, 40.0), grid=GridConfig(2048, 256.0, -128.0),
+        dt=1e-3, t_final=0.1, cadence=0.02, y0=25.0, ref_index=1,
         perturbation=PerturbationConfig(kind="bump", amplitude=1e-3, location="gap:1"))
     execute(cfg, tmp_path)
     header = (tmp_path / "series.csv").read_text().splitlines()[0].split(",")
     table = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)
     assert len(calls) == table.shape[0] == 6
     col = {name: table[:, i] for i, name in enumerate(header)}
+    assert np.all(np.isfinite(col["S1_3"])) and np.all(np.isfinite(col["eps_h1_ahead"]))
     assert header.index("mass_drift") == header.index("newton_iterations") + 1
     assert header.index("energy_drift") == header.index("mass_drift") + 1
     for q in ("mass", "energy"):
         drift = np.abs(col[q] - col[q][0]) / abs(col[q][0])
         assert np.array_equal(col[f"{q}_drift"], drift)
+    # a snapshot after t = 0 makes 7 FFT calls: one irfft in evolve and one
+    # derivative pair each for u, eps and the distance to the frozen speeds
+    gaps = [b - a for a, b in zip(marks[1::2], marks[2::2])]
+    assert gaps == [7 if i % 20 == 0 else 0 for i in range(1, 101)]
 
 
 @pytest.fixture()

@@ -1,5 +1,7 @@
 """Pseudospectral stepping: exactness, gates, conservation, convergence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gkdv import (BlowupError, C_STAB, Field, Grid, ModelParams, ParameterError,
                   read_snapshots, snapshots_to_csv, soliton_sum,
                   spectral_derivative, sponge_profile, step, write_snapshots,
                   zero_field)
+from gkdv.solver import _int_power
 
 P2 = ModelParams(2)
 
@@ -26,6 +29,30 @@ def test_spectral_derivative_exact_on_modes():
                        (3, -k**3 * np.cos(k * (grid.x - grid.x0)))]:
         out = spectral_derivative(f, order)
         assert np.max(np.abs(out.values - ref)) < 1e-11 * max(1.0, k**order)
+
+
+def test_field_is_frozen_and_caches_its_derivative():
+    grid = Grid(256, 64.0, -32.0)
+    f = Field(grid, np.sin(2 * np.pi * 3 * grid.x / grid.length))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.values = np.zeros(grid.n)
+    assert f.dx is f.dx
+    assert np.array_equal(spectral_derivative(f, 1).values, f.dx)
+    k = grid.wavenumbers
+    sym = grid.derivative_symbol
+    assert sym[-1] == 0.0
+    assert np.array_equal(sym[:-1].view(np.float64), ((1j * k) ** 1)[:-1].view(np.float64))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_int_power_within_two_eps_of_long_double(p):
+    # a signed field over ten e-foldings of magnitude; the error is measured in
+    # float64 epsilons relative to the extended-precision power
+    rng = np.random.default_rng(p)
+    v = rng.standard_normal(8192) * np.exp(rng.uniform(-5.0, 5.0, 8192))
+    exact = v.astype(np.longdouble) ** (p + 1)
+    err = np.abs(_int_power(v, p + 1) - exact) / (np.finfo(np.float64).eps * np.abs(exact))
+    assert np.max(err) <= 2.0
 
 
 def test_norms_against_gaussian():
@@ -98,6 +125,17 @@ def test_evolve_validation_and_snapshots():
     lean = evolve(z, 0.1, P2, 1e-3, cadence=0.02, keep_fields=False)
     assert lean.fields == []
     assert lean.conservative
+
+
+def test_kept_fields_hold_no_cached_derivative():
+    grid = Grid(512, 128.0, -64.0)
+    u0 = soliton_sum(P2, SolitonState((1.0,), (-20.0,)), grid)
+    cached = []
+    traj = evolve(u0, 0.1, P2, 1e-3, cadence=0.02,
+                  observer=lambda t, u: cached.append("dx" in vars(u)))
+    assert cached == [True] * 6                   # conserved() filled it for the observer
+    assert len(traj.fields) == 6
+    assert not any("dx" in vars(f) for f in traj.fields)
 
 
 def test_evolve_deterministic():
