@@ -13,26 +13,23 @@ from .errors import (BlowupError, ConfigValidationError,
                      ParameterError, SpectralFailureError, StepSizeError,
                      UnsupportedModelError)
 from .functionals import (LocalizedMassRecord, PsiWeight, SpectrumResult,
-                          abel_resummed, bilinear_form, constrained_spectrum,
-                          dj_sums, energy_expansion_residual,
-                          linearized_energy_form, localized_mass_rate_terms,
-                          localized_masses, midpoints, psi_eval,
-                          quadratic_form, speed_ramp, weight_for,
+                          bilinear_form, constrained_spectrum,
+                          energy_expansion_residual, linearized_energy_form,
+                          localized_mass_rate_terms, localized_masses,
+                          midpoints, speed_ramp, weight_for,
                           write_spectral_certificate)
-from .grid import Field, Grid, zero_field
-from .modulation import (Decomposition, ModulationTracker, TrackResult,
-                         decompose, initial_guess, ortho_jacobian,
-                         ortho_residual, track, write_modulation_csv)
+from .grid import Field, Grid
+from .modulation import (Decomposition, ModulationTracker, decompose,
+                         initial_guess, ortho_jacobian, ortho_residual)
 from .profiles import (ModelParams, SolitonState, eval_Q, eval_Qc,
                        kdv_nsoliton_profile, profile_gradient_constant,
                        profile_integral_constant, profile_mass_constant,
                        sigma0_of_speeds, soliton_energy, soliton_mass,
                        soliton_sum)
-from .snapio import SnapshotSet, read_snapshots, snapshots_to_csv, write_snapshots
+from .snapio import SnapshotSet, read_snapshots, write_snapshots
 from .solver import (C_STAB, ConservedQuantities, SpongeSettings, Stepper,
                      Trajectory, conserved, dt_stability_bound, evolve,
-                     h1_distance, h1_norm, l2_norm, l2_norm_right_of,
-                     spectral_derivative, sponge_profile, step)
+                     h1_norm, l2_norm, l2_norm_right_of, sponge_profile)
 
 __version__ = "0.1.0"
 
@@ -41,21 +38,19 @@ __all__ = [
     "DegenerateConfigurationError", "DomainTooSmallError", "GkdvError",
     "GuessFailureError", "ParameterError", "SpectralFailureError",
     "StepSizeError", "UnsupportedModelError",
-    "LocalizedMassRecord", "PsiWeight", "SpectrumResult", "abel_resummed",
-    "bilinear_form", "constrained_spectrum", "dj_sums",
-    "energy_expansion_residual", "linearized_energy_form",
-    "localized_mass_rate_terms", "localized_masses", "midpoints", "psi_eval",
-    "quadratic_form", "speed_ramp", "weight_for", "write_spectral_certificate",
-    "Field", "Grid", "zero_field",
-    "Decomposition", "ModulationTracker", "TrackResult", "decompose",
-    "initial_guess", "ortho_jacobian", "ortho_residual", "track",
-    "write_modulation_csv",
+    "LocalizedMassRecord", "PsiWeight", "SpectrumResult", "bilinear_form",
+    "constrained_spectrum", "energy_expansion_residual",
+    "linearized_energy_form", "localized_mass_rate_terms", "localized_masses",
+    "midpoints", "speed_ramp", "weight_for", "write_spectral_certificate",
+    "Field", "Grid",
+    "Decomposition", "ModulationTracker", "decompose", "initial_guess",
+    "ortho_jacobian", "ortho_residual",
     "ModelParams", "SolitonState", "eval_Q", "eval_Qc", "kdv_nsoliton_profile",
     "profile_gradient_constant", "profile_integral_constant",
     "profile_mass_constant", "sigma0_of_speeds", "soliton_energy",
     "soliton_mass", "soliton_sum",
-    "SnapshotSet", "read_snapshots", "snapshots_to_csv", "write_snapshots",
+    "SnapshotSet", "read_snapshots", "write_snapshots",
     "C_STAB", "ConservedQuantities", "SpongeSettings", "Stepper", "Trajectory",
-    "conserved", "dt_stability_bound", "evolve", "h1_distance", "h1_norm",
-    "l2_norm", "l2_norm_right_of", "spectral_derivative", "sponge_profile", "step",
+    "conserved", "dt_stability_bound", "evolve", "h1_norm", "l2_norm",
+    "l2_norm_right_of", "sponge_profile",
 ]

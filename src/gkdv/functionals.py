@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -34,11 +33,9 @@ from .solver import _int_power
 class PsiWeight:
     """Monotone 0-to-1 transition weight for a given model and sigma0.
 
-    Closed-form path: psi(x) = (1 + sign(x) I(tanh^2(b x); 1/2, 1/(p-1))) / 2
+    psi(x) = (1 + sign(x) I(tanh^2(b x); 1/2, 1/(p-1))) / 2 in closed form,
     with I the regularized incomplete beta and b = (p-1) sqrt(sigma0) / 4;
-    its derivative is exactly c_psi Q(sqrt(sigma0) x / 2). The numeric path
-    (cumulative spectral quadrature with an analytic left-tail correction)
-    exists for cross-validation and must agree to 1e-10.
+    its derivative is exactly c_psi Q(sqrt(sigma0) x / 2).
     """
 
     p: int
@@ -67,8 +64,6 @@ class PsiWeight:
         intQ = self.amplitude * beta_fn(0.5, 0.5 * self.q) * 2.0 / (self.p - 1)
         return math.sqrt(self.sigma0) / (2.0 * intQ)
 
-    # -- closed-form path ---------------------------------------------------
-
     def _phi(self, x: np.ndarray) -> np.ndarray:
         return self._phi_of(_sech(self.b * x))
 
@@ -81,7 +76,7 @@ class PsiWeight:
         q = self.q
         return self.c_psi * self.amplitude * self.b**2 * (q * q * s**q - q * (q + 1.0) * s ** (q + 2.0))
 
-    def psi(self, x, deriv: int = 0, method: str = "closed"):
+    def psi(self, x, deriv: int = 0):
         """psi (deriv 0), psi' (deriv 1) or psi''' (deriv 3) at x; deriv=(1, 3)
         gives the pair (psi', psi''') from one sech evaluation."""
         x = np.asarray(x, dtype=np.float64)
@@ -94,58 +89,11 @@ class PsiWeight:
             return self._phi_of(s), self._phi2_of(s)
         if deriv != 0:
             raise ParameterError(f"deriv must be 0, 1, 3 or (1, 3), got {deriv}")
-        if method == "closed":
-            # swapped-argument incomplete beta: sech^2 stays accurate where
-            # tanh^2 would round to 1 and silently drop the far tail
-            s2 = _sech(self.b * x) ** 2
-            tail = 0.5 * betainc(0.5 * self.q, 0.5, s2)
-            return np.where(x < 0, tail, 1.0 - tail)
-        if method == "numeric":
-            return self._psi_numeric(x)
-        raise ParameterError(f"method must be 'closed' or 'numeric', got {method}")
-
-    # -- numeric path (cumulative spectral quadrature) ----------------------
-
-    @cached_property
-    def _numeric_table(self):
-        # tail decay rate of phi is q*b = sqrt(sigma0)/2 for every p
-        rate = self.q * self.b
-        half_width = 40.0 / rate  # 40 e-foldings of tail clearance
-        m = 1 << max(12, int(np.ceil(np.log2(2.0 * half_width / (0.01 / math.sqrt(self.sigma0))))))
-        xs = -half_width + (2.0 * half_width / m) * np.arange(m)
-        phi = self._phi(xs)
-        ds = xs[1] - xs[0]
-        a0 = float(np.mean(phi))
-        fh = np.fft.rfft(phi)
-        kk = (2.0 * np.pi / (2.0 * half_width)) * np.arange(m // 2 + 1)
-        H = np.zeros_like(fh)
-        H[1:] = fh[1:] / (1j * kk[1:])
-        if m % 2 == 0:
-            H[-1] = 0.0
-        G = np.fft.irfft(H, m)
-        tail_left = self._phi(np.array([-half_width]))[0] / rate  # analytic e^{rate x} tail
-        psi_ref = tail_left + a0 * (xs + half_width) + (G - G[0])
-        from scipy.interpolate import CubicHermiteSpline
-        spline = CubicHermiteSpline(xs, psi_ref, phi)
-        return half_width, rate, tail_left, spline
-
-    def _psi_numeric(self, x: np.ndarray) -> np.ndarray:
-        half_width, rate, tail_left, spline = self._numeric_table
-        shape = x.shape
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        lo = x < -half_width
-        hi = x >= half_width - 2.0 / rate  # stay clear of the periodized right edge
-        mid = ~(lo | hi)
-        out[lo] = tail_left * np.exp(rate * (x[lo] + half_width))
-        out[hi] = 1.0 - self._phi(x[hi]) / rate  # right tail, same asymptotic
-        out[mid] = spline(x[mid])
-        return out.reshape(shape)
-
-
-def psi_eval(w: PsiWeight, x, deriv: int = 0, method: str = "closed"):
-    """Module-level convenience wrapper around PsiWeight.psi."""
-    return w.psi(x, deriv=deriv, method=method)
+        # swapped-argument incomplete beta: sech^2 stays accurate where
+        # tanh^2 would round to 1 and silently drop the far tail
+        s2 = _sech(self.b * x) ** 2
+        tail = 0.5 * betainc(0.5 * self.q, 0.5, s2)
+        return np.where(x < 0, tail, 1.0 - tail)
 
 
 def _state_of(dec_or_state) -> SolitonState:
@@ -234,30 +182,6 @@ def localized_mass_rate_terms(u: Field, m: float, w: PsiWeight,
 
 
 # ---------------------------------------------------------------------------
-# partial speed sums
-
-def dj_sums(dec_or_state, params: ModelParams) -> np.ndarray:
-    """Tail sums d_j = sum_{k>=j} c_k^(beta - 1/2), j = 1..N."""
-    c = _state_of(dec_or_state).speed_array
-    powers = c ** params.mass_exponent
-    return np.cumsum(powers[::-1])[::-1]
-
-
-def abel_resummed(state_t, state_0, params: ModelParams) -> float:
-    """Summation-by-parts combination of the d_j increments with frozen gaps."""
-    s_t, s_0 = _state_of(state_t), _state_of(state_0)
-    if s_t.n != s_0.n:
-        raise ParameterError("states must have the same number of solitons")
-    d_t = dj_sums(s_t, params)
-    d_0 = dj_sums(s_0, params)
-    c0 = s_0.speed_array
-    val = c0[0] * (d_t[0] - d_0[0])
-    for j in range(1, s_0.n):
-        val += (c0[j] - c0[j - 1]) * (d_t[j] - d_0[j])
-    return float(val)
-
-
-# ---------------------------------------------------------------------------
 # quadratic form and its constrained spectrum
 
 def _basis_of(dec_or_state, params: ModelParams, grid: Grid) -> SolitonBasis:
@@ -288,10 +212,6 @@ def bilinear_form(f: Field, g: Field, dec_or_state, w: PsiWeight,
     fx, gx = f.dx, g.dx
     h = grid.spacing
     return h * float(np.sum(fx * gx + (-params.p * R ** (params.p - 1) + ramp) * f.values * g.values))
-
-
-def quadratic_form(eps: Field, dec_or_state, w: PsiWeight, params: ModelParams) -> float:
-    return bilinear_form(eps, eps, dec_or_state, w, params)
 
 
 def linearized_energy_form(eps: Field, dec_or_state, params: ModelParams) -> float:

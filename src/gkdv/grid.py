@@ -87,10 +87,3 @@ class Field:
     def dx(self) -> np.ndarray:
         """Spectral first derivative of the values, transformed once per field."""
         return np.fft.irfft(self.grid.derivative_symbol * np.fft.rfft(self.values), self.grid.n)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-
-def zero_field(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.n))

@@ -2,7 +2,8 @@
 
 Each experiment family has its own semantic checks on top of the common
 field validation; configuration problems raise ConfigValidationError with
-a message naming the offending field.
+a message naming the offending field. The default thresholds of every
+family live here too; a config may override them, and only them.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from importlib import resources
 
 import numpy as np
 
@@ -25,6 +27,27 @@ FAMILIES = ("simulate", "decompose", "spectrum", "stability", "monotonicity",
 STATIC_FAMILIES = ("decompose", "spectrum")
 
 PERTURBATION_KINDS = ("none", "bump", "noise")
+
+# every threshold a family's checks read, with its default; cfg.thresholds
+# may override these keys and no others
+_DEFAULT_THRESHOLDS = {
+    "simulate": {"conservation": 1e-8, "propagation": 1e-6},
+    "decompose": {"speed_recovery_factor": 5e-3, "residual": 1e-11,
+                  "jacobian_diag_rel": 1e-5, "guess_agreement": 1e-9},
+    "spectrum": {"lambda_min": 0.0},
+    "stability": {"baseline_sup": 5e-5, "distance_over_alpha": 10.0,
+                  "monotone_frac": 0.9},
+    "monotonicity": {"max_increase": 1e-3, "ratio_min": 10.0,
+                     "increase_floor": 1e-10, "identity_rel": 1e-5,
+                     "bound_constant_max": 100.0, "probe_slack": 1e-6},
+    "quadratic-control": {"speed_slope_lo": 1.7, "speed_slope_hi": 2.3,
+                          "eps_slope_lo": 0.8, "eps_slope_hi": 1.2,
+                          "drift_floor": 1e-11},
+    "asymptotic": {"plateau_std": 1e-4, "block_time": 20.0,
+                   "block_slack": 0.05, "final_fraction": 1.0 / 3.0,
+                   "contraction_factor": 0.5, "contraction_floor": 1e-8},
+    "nsoliton": {"l2_distance": 1e-5, "refit_speeds": 1e-4},
+}
 
 
 @dataclass(frozen=True)
@@ -105,6 +128,13 @@ def _fail(msg: str):
 def _check_common(cfg: ExperimentConfig) -> None:
     if cfg.family not in FAMILIES:
         _fail(f"family must be one of {FAMILIES}, got {cfg.family!r}")
+    if not isinstance(cfg.thresholds, dict) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg.thresholds.values()):
+        _fail(f"thresholds must map names to numbers, got {cfg.thresholds!r}")
+    unknown = set(cfg.thresholds) - set(_DEFAULT_THRESHOLDS[cfg.family])
+    if unknown:
+        _fail(f"unknown {cfg.family} thresholds {sorted(unknown)}; "
+              f"known: {sorted(_DEFAULT_THRESHOLDS[cfg.family])}")
     if cfg.p not in SUPPORTED_P:
         _fail(f"p must be one of {SUPPORTED_P}, got {cfg.p}")
     c = np.asarray(cfg.speeds)
@@ -250,6 +280,11 @@ def validate(cfg: ExperimentConfig) -> None:
     _check_family(cfg)
 
 
+def thresholds_for(cfg: ExperimentConfig) -> dict:
+    """The family's default thresholds with the config's overrides applied."""
+    return {**_DEFAULT_THRESHOLDS[cfg.family], **cfg.thresholds}
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 
@@ -306,132 +341,19 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# presets: one per experiment family, tuned for the acceptance checks
+# presets: one JSON file per experiment family, shipped in presets/
 
-def _preset_single_soliton() -> ExperimentConfig:
-    return ExperimentConfig(
-        family="simulate", label="single-soliton", p=2,
-        speeds=(1.0,), positions=(0.0,),
-        grid=GridConfig(n=4096, length=256.0, x0=-128.0),
-        dt=1e-4, t_final=10.0, cadence=0.5,
-        write_snapshots=True,
-        thresholds={"conservation": 1e-9, "propagation": 1e-6},
-    )
-
-
-def _preset_tau_collision() -> ExperimentConfig:
-    # fast soliton starts behind, overtakes near t = 13.3, fully separated by 26
-    return ExperimentConfig(
-        family="nsoliton", label="tau-collision", p=2,
-        speeds=(1.0, 4.0), positions=(20.0, -20.0),
-        grid=GridConfig(n=4096, length=256.0, x0=-128.0),
-        dt=2e-4, t_final=26.0, cadence=0.5,
-        track=TrackSettings(enabled=False),
-        thresholds={"l2_distance": 1e-5, "refit_speeds": 1e-4},
-    )
-
-
-def _preset_newton_recovery() -> ExperimentConfig:
-    return ExperimentConfig(
-        family="decompose", label="newton-recovery", p=2,
-        speeds=(1.0, 2.0, 3.0), positions=(-40.0, 0.0, 40.0),
-        grid=GridConfig(n=4096, length=256.0, x0=-128.0),
-        perturbation=PerturbationConfig(kind="bump", amplitude=1e-3, width=5.0,
-                                        location="gap:1"),
-        thresholds={"speed_recovery_factor": 5e-3, "residual": 1e-11,
-                    "jacobian_diag_rel": 1e-5},
-    )
-
-
-def _preset_positivity() -> ExperimentConfig:
-    return ExperimentConfig(
-        family="spectrum", label="positivity", p=2,
-        speeds=(1.0, 2.0), positions=(-20.0, 20.0),
-        grid=GridConfig(n=2048, length=256.0, x0=-128.0),
-        thresholds={"lambda_min": 0.0},
-    )
-
-
-def _preset_mass_monotonicity() -> ExperimentConfig:
-    return ExperimentConfig(
-        family="monotonicity", label="mass-monotonicity", p=2,
-        speeds=(1.0, 2.0), positions=(-30.0, 30.0),
-        grid=GridConfig(n=8192, length=1024.0, x0=-512.0),
-        dt=1e-3, t_final=50.0, cadence=0.25,
-        perturbation=PerturbationConfig(kind="bump", amplitude=1e-2, width=5.0,
-                                        location="gap:1"),
-        sweep_separations=(60.0, 120.0),
-        identity_t=1.5, identity_cadence=0.003,
-        y0=25.0, ref_index=1,
-        thresholds={"max_increase": 1e-3, "ratio_min": 10.0,
-                    "increase_floor": 1e-10, "identity_rel": 1e-5,
-                    "bound_constant_max": 100.0, "probe_slack": 1e-6},
-    )
-
-
-def _preset_drift_scaling() -> ExperimentConfig:
-    return ExperimentConfig(
-        family="quadratic-control", label="drift-scaling", p=2,
-        speeds=(1.0, 2.0), positions=(-135.0, 135.0),
-        grid=GridConfig(n=8192, length=1024.0, x0=-512.0),
-        dt=1e-3, t_final=30.0, cadence=0.25,
-        perturbation=PerturbationConfig(kind="bump", amplitude=1e-2, width=5.0,
-                                        location="gap:1"),
-        alphas=(3e-3, 1e-2, 3e-2, 1e-1),
-        thresholds={"speed_slope_lo": 1.7, "speed_slope_hi": 2.3,
-                    "eps_slope_lo": 0.8, "eps_slope_hi": 1.2,
-                    "drift_floor": 1e-11},
-    )
-
-
-def _preset_radiation_escape() -> ExperimentConfig:
-    return ExperimentConfig(
-        family="asymptotic", label="radiation-escape", p=2,
-        speeds=(1.0, 2.0), positions=(0.0, 60.0),
-        grid=GridConfig(n=8192, length=1024.0, x0=-256.0),
-        dt=2e-3, t_final=300.0, cadence=0.5,
-        perturbation=PerturbationConfig(kind="bump", amplitude=3e-2, width=5.0,
-                                        location="gap:1"),
-        sponge=SpongeSettings(enabled=True, width_fraction=0.05, strength=5.0),
-        y0=25.0, ref_index=1,
-        thresholds={"plateau_std": 1e-4, "block_time": 20.0,
-                    "block_slack": 0.05, "final_fraction": 1.0 / 3.0,
-                    "contraction_factor": 0.5, "contraction_floor": 1e-8},
-    )
-
-
-def _preset_stability_bound() -> ExperimentConfig:
-    return ExperimentConfig(
-        family="stability", label="stability-bound", p=2,
-        speeds=(1.0, 2.0), positions=(-30.0, 30.0),
-        grid=GridConfig(n=4096, length=256.0, x0=-80.0),
-        dt=4e-4, t_final=50.0, cadence=0.25,
-        perturbation=PerturbationConfig(kind="bump", amplitude=1e-2, width=5.0,
-                                        location="gap:1"),
-        track=TrackSettings(enabled=True, l_min=20.0),
-        alphas=(0.0, 3e-3, 1e-2, 3e-2),
-        thresholds={"baseline_sup": 5e-5, "distance_over_alpha": 10.0,
-                    "monotone_frac": 0.9},
-    )
-
-
-_PRESETS = {
-    "single-soliton": _preset_single_soliton,
-    "tau-collision": _preset_tau_collision,
-    "newton-recovery": _preset_newton_recovery,
-    "positivity": _preset_positivity,
-    "mass-monotonicity": _preset_mass_monotonicity,
-    "drift-scaling": _preset_drift_scaling,
-    "radiation-escape": _preset_radiation_escape,
-    "stability-bound": _preset_stability_bound,
-}
+def _preset_files():
+    return resources.files(__package__) / "presets"
 
 
 def preset_names() -> tuple:
-    return tuple(sorted(_PRESETS))
+    return tuple(sorted(f.name[:-5] for f in _preset_files().iterdir()
+                        if f.name.endswith(".json")))
 
 
 def preset(name: str) -> ExperimentConfig:
-    if name not in _PRESETS:
+    if name not in preset_names():
         raise ConfigValidationError(f"unknown preset {name!r}; choose from {preset_names()}")
-    return _PRESETS[name]()
+    with resources.as_file(_preset_files() / f"{name}.json") as path:
+        return load_config(path)

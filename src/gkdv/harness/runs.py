@@ -27,35 +27,8 @@ from ..profiles import (ModelParams, SolitonBasis, SolitonState,
                         soliton_energy, soliton_sum)
 from ..snapio import write_snapshots
 from ..solver import Trajectory, evolve, h1_norm, l2_norm, l2_norm_right_of
-from .config import ExperimentConfig, config_to_dict
+from .config import ExperimentConfig, config_to_dict, thresholds_for
 from .perturbations import make_perturbation
-
-# fallback thresholds; presets override through cfg.thresholds
-_DEFAULT_THRESHOLDS = {
-    "simulate": {"conservation": 1e-8, "propagation": 1e-6},
-    "decompose": {"speed_recovery_factor": 5e-3, "residual": 1e-11,
-                  "jacobian_diag_rel": 1e-5, "guess_agreement": 1e-9},
-    "spectrum": {"lambda_min": 0.0},
-    "stability": {"baseline_sup": 5e-5, "distance_over_alpha": 10.0,
-                  "monotone_frac": 0.9},
-    "monotonicity": {"max_increase": 1e-3, "ratio_min": 10.0,
-                     "increase_floor": 1e-10, "identity_rel": 1e-5,
-                     "bound_constant_max": 100.0, "probe_slack": 1e-6},
-    "quadratic-control": {"speed_slope_lo": 1.7, "speed_slope_hi": 2.3,
-                          "eps_slope_lo": 0.8, "eps_slope_hi": 1.2,
-                          "drift_floor": 1e-11},
-    "asymptotic": {"plateau_std": 1e-4, "block_time": 20.0,
-                   "block_slack": 0.05, "final_fraction": 1.0 / 3.0,
-                   "contraction_factor": 0.5, "contraction_floor": 1e-8},
-    "nsoliton": {"l2_distance": 1e-5, "refit_speeds": 1e-4},
-}
-
-
-def thresholds_for(cfg: ExperimentConfig) -> dict:
-    out = dict(_DEFAULT_THRESHOLDS[cfg.family])
-    out.update(cfg.thresholds)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # report containers
@@ -280,6 +253,14 @@ class DiagnosticsCollector:
         out["half_energy_hessian"] = np.asarray(self.half_hessian)
         return out
 
+    def tracking(self) -> dict:
+        """Time and "<ErrorType>: <message>" of the first snapshot whose
+        decomposition failed; None for both when none failed."""
+        i, exc = self.tracker.failure_index, self.tracker.failure_error
+        if i is None:
+            return {"t_failed": None, "error": None}
+        return {"t_failed": self.times[i], "error": f"{type(exc).__name__}: {exc}"}
+
     @property
     def speed_matrix(self) -> np.ndarray:
         return np.vstack(self.speeds) if self.speeds else np.empty((0, self.n_solitons))
@@ -375,6 +356,7 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path) -> RunReport:
 
     if collector is not None:
         table = collector.table(traj)
+        extras["tracking"] = collector.tracking()
     else:
         table = {"t": traj.times}
     table["mass"] = traj.mass
@@ -825,6 +807,7 @@ def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
                                   detail="not enough tracked snapshots to form windows"))
     jl, jr = np.asarray(collector.j_left), np.asarray(collector.j_right)
     extras = {"ray_blocks": list(blocks), "window_means": means,
+              "tracking": collector.tracking(),
               "j_left_first_last": [float(jl[sel][0]), float(jl[sel][-1])] if sel.any() else [],
               "j_right_first_last": [float(jr[sel][0]), float(jr[sel][-1])] if sel.any() else [],
               "final_speeds": list(speeds[np.all(np.isfinite(speeds), axis=1)][-1])

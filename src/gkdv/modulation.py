@@ -2,8 +2,9 @@
 
 A field u is written as sum_j Q_{c_j}(x - x_j) + eps with 2N orthogonality
 constraints <R_j, eps> = <(R_j)_x, eps> = 0. The constraint system is solved
-by a damped Newton iteration with an analytic Jacobian; tracking along a
-trajectory seeds each solve from the ballistically advanced previous state.
+by a damped Newton iteration with an analytic Jacobian; ModulationTracker
+follows a trajectory snapshot by snapshot, seeding each solve from the
+ballistically advanced previous state.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .errors import (DecompositionFailureError, DegenerateConfigurationError,
                      GuessFailureError, ParameterError)
 from .grid import Field
 from .profiles import ModelParams, SolitonBasis, SolitonState, eval_Q
-from .solver import h1_norm, l2_norm
 
 _COND_LIMIT = 1e12
 _MAX_HALVINGS = 6
@@ -30,8 +30,7 @@ class Decomposition:
     ortho_residuals holds (rho1_1, rho2_1, ..., rho1_N, rho2_N), i.e. the
     profile and profile-slope overlaps of eps for each soliton in turn.
     basis is the final state's SolitonBasis, for reuse by whoever consumes the
-    decomposition right away; track() drops it so that stored decompositions
-    do not keep (N, n) rows alive.
+    decomposition right away.
     """
 
     state: SolitonState
@@ -60,17 +59,12 @@ def ortho_residual(u: Field, state: SolitonState, params: ModelParams) -> np.nda
 
 
 def ortho_jacobian(u: Field, state: SolitonState, params: ModelParams,
-                   mode: str = "analytic", basis: SolitonBasis | None = None) -> np.ndarray:
-    """Jacobian of ortho_residual w.r.t. (c_1, x_1, ..., c_N, x_N).
+                   basis: SolitonBasis | None = None) -> np.ndarray:
+    """Jacobian of ortho_residual w.r.t. (c_1, x_1, ..., c_N, x_N), analytic.
 
-    Rows follow the residual ordering (rho1_j, rho2_j); mode "fd" uses central
-    differences with relative step 1e-6 for cross-validation. basis, when
-    given, is the state's SolitonBasis and its cached rows are reused.
+    Rows follow the residual ordering (rho1_j, rho2_j). basis, when given, is
+    the state's SolitonBasis and its cached rows are reused.
     """
-    if mode == "fd":
-        return _fd_jacobian(u, state, params)
-    if mode != "analytic":
-        raise ParameterError(f"jacobian mode must be 'analytic' or 'fd', got {mode}")
     b = SolitonBasis(params, state, u.grid) if basis is None else basis
     R, Rx, Rxx, dRdc, dRxdc = b.R, b.Rx, b.Rxx, b.dR_dc, b.dRx_dc
     eps = u.values - b.total
@@ -104,20 +98,6 @@ def _theta(state: SolitonState) -> np.ndarray:
 
 def _state_from(theta: np.ndarray) -> SolitonState:
     return SolitonState(tuple(theta[0::2]), tuple(theta[1::2]))
-
-
-def _fd_jacobian(u: Field, state: SolitonState, params: ModelParams) -> np.ndarray:
-    th0 = _theta(state)
-    J = np.empty((2 * state.n, 2 * state.n))
-    for i in range(th0.size):
-        step = 1e-6 * max(1.0, abs(th0[i]))
-        tp, tm = th0.copy(), th0.copy()
-        tp[i] += step
-        tm[i] -= step
-        rp = ortho_residual(u, _state_from(tp), params)
-        rm = ortho_residual(u, _state_from(tm), params)
-        J[:, i] = (rp - rm) / (2.0 * step)
-    return J
 
 
 def decompose(u: Field, guess: SolitonState, params: ModelParams,
@@ -272,89 +252,3 @@ class ModulationTracker:
         self._last_state = dec.state
         self._last_t = float(t)
         return dec
-
-
-@dataclass
-class TrackResult:
-    """Per-snapshot decompositions with finite-difference rate estimates.
-
-    decompositions[i] is None where tracking skipped the snapshot; cdot and
-    xdot_minus_c are NaN there. failure_index marks the first snapshot whose
-    solve failed (None when the whole trajectory tracked cleanly).
-    """
-
-    times: np.ndarray
-    decompositions: list
-    speeds: np.ndarray        # (count, N), NaN where skipped
-    positions: np.ndarray
-    cdot: np.ndarray
-    xdot_minus_c: np.ndarray
-    failure_index: int | None
-
-
-def _fd_rates(times: np.ndarray, series: np.ndarray) -> np.ndarray:
-    """Centered differences where both neighbors exist, one-sided at the ends."""
-    out = np.full_like(series, np.nan)
-    m = series.shape[0]
-    for i in range(m):
-        lo, hi = i - 1, i + 1
-        if lo >= 0 and hi < m and np.all(np.isfinite(series[lo])) and np.all(np.isfinite(series[hi])):
-            out[i] = (series[hi] - series[lo]) / (times[hi] - times[lo])
-        elif hi < m and np.all(np.isfinite(series[i])) and np.all(np.isfinite(series[hi])):
-            out[i] = (series[hi] - series[i]) / (times[hi] - times[i])
-        elif lo >= 0 and np.all(np.isfinite(series[i])) and np.all(np.isfinite(series[lo])):
-            out[i] = (series[i] - series[lo]) / (times[i] - times[lo])
-    return out
-
-
-def track(trajectory, params: ModelParams, n_solitons: int | None = None,
-          guess: SolitonState | None = None, l_min: float = 0.0,
-          tol: float | None = None) -> TrackResult:
-    """Track the modulation state across a stored trajectory."""
-    if guess is None:
-        if n_solitons is None:
-            raise ParameterError("track needs either an explicit guess or n_solitons")
-        guess = initial_guess(trajectory.fields[0], n_solitons, params)
-    first = decompose(trajectory.fields[0], guess, params, tol=tol)
-    tracker = ModulationTracker(params, first.state, t0=float(trajectory.times[0]),
-                                l_min=l_min, tol=tol)
-    N = first.state.n
-    count = len(trajectory.times)
-    decs: list = []
-    speeds = np.full((count, N), np.nan)
-    positions = np.full((count, N), np.nan)
-    for i, (t, f) in enumerate(zip(trajectory.times, trajectory.fields)):
-        dec = first if i == 0 else tracker.update(float(t), f)
-        decs.append(dec)
-        if dec is not None:
-            dec.basis = None
-            speeds[i] = dec.state.speeds
-            positions[i] = dec.state.positions
-    times = np.asarray(trajectory.times, dtype=np.float64)
-    cdot = _fd_rates(times, speeds)
-    xdot = _fd_rates(times, positions)
-    # the tracker counts its own updates, which start at the second snapshot
-    fail = None if tracker.failure_index is None else tracker.failure_index + 1
-    return TrackResult(times=times, decompositions=decs, speeds=speeds,
-                       positions=positions, cdot=cdot,
-                       xdot_minus_c=xdot - speeds,
-                       failure_index=fail)
-
-
-def write_modulation_csv(path, result: TrackResult) -> None:
-    """t, c_j, x_j, |eps|_L2, |eps|_H1, max residual, iterations per snapshot."""
-    N = result.speeds.shape[1]
-    cols = (["t"] + [f"c{j + 1}" for j in range(N)] + [f"x{j + 1}" for j in range(N)]
-            + ["eps_l2", "eps_h1", "max_ortho_residual", "iterations"])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(result.times):
-            dec = result.decompositions[i]
-            if dec is None:
-                row = [t] + [np.nan] * (2 * N + 3) + [0]
-            else:
-                row = ([t] + list(dec.state.speeds) + list(dec.state.positions)
-                       + [l2_norm(dec.epsilon), h1_norm(dec.epsilon),
-                          float(np.max(np.abs(dec.ortho_residuals))), dec.iterations])
-            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                              for v in row) + "\n")

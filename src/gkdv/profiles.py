@@ -37,21 +37,6 @@ class ModelParams:
     def __post_init__(self):
         _check_p(self.p)
 
-    @property
-    def beta(self) -> float:
-        """Scaling exponent of the profile amplitude: Q_c = c^(beta/2) Q(sqrt(c) x)."""
-        return 2.0 / (self.p - 1)
-
-    @property
-    def kappa(self) -> float:
-        """Energy-to-mass ratio constant (5-p)/(p+3) of the rescaled soliton."""
-        return (5.0 - self.p) / (self.p + 3.0)
-
-    @property
-    def mass_exponent(self) -> float:
-        """d/dc exponent of the soliton mass: int Q_c^2 = c^mass_exponent int Q^2."""
-        return self.beta - 0.5
-
 
 @dataclass(frozen=True)
 class SolitonState:

@@ -1,4 +1,4 @@
-"""Binary snapshot container and CSV export.
+"""Binary snapshot container.
 
 Layout (all little-endian): 8-byte magic ``GKDVSNAP``, uint32 version,
 uint32 p, uint64 n, float64 length, float64 x0, float64 dt, float64 cadence,
@@ -67,11 +67,3 @@ def read_snapshots(path) -> SnapshotSet:
                        times=body["t"].astype(np.float64),
                        values=body["u"].astype(np.float64))
 
-
-def snapshots_to_csv(path, snaps: SnapshotSet) -> None:
-    """One row per snapshot: t, u_0, ..., u_{n-1}. Intended for small grids."""
-    with open(path, "w", newline="") as fh:
-        header = ["t"] + [f"u{i}" for i in range(snaps.grid.n)]
-        fh.write(",".join(header) + "\n")
-        for t, row in zip(snaps.times, snaps.values):
-            fh.write(",".join(repr(float(v)) for v in [t, *row]) + "\n")

@@ -45,17 +45,6 @@ def _int_power(v: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def spectral_derivative(f: Field, order: int = 1) -> Field:
-    """Fourier derivative of the given order (1, 2 or 3): that many
-    applications of the cached first derivative Field.dx, which zeroes the
-    Nyquist mode."""
-    if order not in (1, 2, 3):
-        raise ParameterError(f"derivative order must be 1, 2 or 3, got {order}")
-    for _ in range(order):
-        f = Field(f.grid, f.dx)
-    return f
-
-
 @dataclass(frozen=True)
 class ConservedQuantities:
     """Mass int u^2 and energy (1/2) int u_x^2 - 1/(p+1) int u^(p+1)."""
@@ -86,10 +75,6 @@ def l2_norm_right_of(u: Field, x_cut: float) -> float:
     """L2 norm restricted to lab-frame points with x > x_cut."""
     mask = u.grid.x > x_cut
     return math.sqrt(u.grid.spacing * float(np.sum(u.values[mask] ** 2)))
-
-
-def h1_distance(u: Field, v: Field) -> float:
-    return h1_norm(Field(u.grid, u.values - v.values))
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +176,6 @@ class Stepper:
         e2u = E2 * uhat
         d = self._rhs(e2u + E * c)
         return e2u + (E2 * a + self._two_e_half * (b + c) + d) / 6.0
-
-
-def step(u: Field, dt: float, params: ModelParams, sponge: SpongeSettings | None = None) -> Field:
-    """Advance one time step (convenience wrapper building a one-shot stepper)."""
-    st = Stepper(u.grid, dt, params, sponge)
-    out = np.fft.irfft(st.step_hat(np.fft.rfft(u.values)), u.grid.n)
-    if not np.all(np.isfinite(out)):
-        raise BlowupError("non-finite values after a single step", t_last=0.0)
-    return Field(u.grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from dense_spectrum import dense_constrained_spectrum
 from gkdv import (Field, Grid, ModelParams, ParameterError, PsiWeight,
                   SolitonState, SpectralFailureError, UnsupportedModelError,
-                  abel_resummed, bilinear_form, constrained_spectrum,
-                  decompose, dj_sums, energy_expansion_residual, eval_Qc,
-                  evolve, h1_norm, l2_norm, linearized_energy_form,
-                  localized_mass_rate_terms, localized_masses, midpoints,
-                  psi_eval, quadratic_form, soliton_sum, speed_ramp,
+                  bilinear_form, constrained_spectrum, decompose,
+                  energy_expansion_residual, eval_Qc, evolve, h1_norm, l2_norm,
+                  linearized_energy_form, localized_mass_rate_terms,
+                  localized_masses, midpoints, soliton_sum, speed_ramp,
                   weight_for, write_spectral_certificate)
+from psi_quadrature import psi_numeric
 
 P2 = ModelParams(2)
 
@@ -34,8 +34,6 @@ def test_psi_validation():
     w = PsiWeight(2, 0.5)
     with pytest.raises(ParameterError):
         w.psi(0.0, deriv=2)
-    with pytest.raises(ParameterError):
-        w.psi(0.0, method="bogus")
 
 
 @pytest.mark.parametrize("p,s0", [(2, 0.125), (2, 0.5), (3, 0.5), (4, 1.0)])
@@ -52,10 +50,10 @@ def test_psi_limits_and_monotonicity(p, s0):
 
 @pytest.mark.parametrize("p,s0", [(2, 0.125), (2, 0.5), (3, 0.5), (4, 1.0)])
 def test_psi_closed_vs_numeric(p, s0):
-    # the cumulative-quadrature path must reproduce the incomplete-beta path
+    # the cumulative-quadrature oracle must reproduce the incomplete-beta form
     w = PsiWeight(p, s0)
     xs = np.linspace(-60.0, 60.0, 4001) / np.sqrt(s0)
-    assert np.max(np.abs(w.psi(xs) - w.psi(xs, method="numeric"))) < 1e-10
+    assert np.max(np.abs(w.psi(xs) - psi_numeric(w, xs))) < 1e-10
 
 
 def test_psi_derivatives_consistent():
@@ -99,10 +97,7 @@ def test_psi_damping_slack(p, s0):
     assert abs(ratio - 0.25 * s0) < 1e-5
 
 
-def test_psi_eval_wrapper_and_weight_for():
-    w = PsiWeight(2, 0.125)
-    xs = np.linspace(-4.0, 4.0, 9)
-    assert np.array_equal(psi_eval(w, xs, 1), w.psi(xs, 1))
+def test_weight_for():
     st = SolitonState((0.25, 0.75), (-10.0, 10.0))
     built = weight_for(st, P2)
     assert built.p == 2
@@ -178,27 +173,6 @@ def test_localized_mass_rate_identity():
 
 
 # ---------------------------------------------------------------------------
-# partial speed sums
-
-def test_dj_sums_anchors():
-    st = SolitonState((1.0, 4.0), (-20.0, 20.0))
-    assert np.array_equal(dj_sums(st, ModelParams(3)), np.array([3.0, 2.0]))
-    assert np.array_equal(dj_sums(st, P2), np.array([9.0, 8.0]))
-
-
-def test_abel_resummed_by_hand():
-    s0 = SolitonState((1.0, 2.0), (-20.0, 20.0))
-    st = SolitonState((1.1, 2.3), (-20.0, 20.0))
-    d_t = np.array([1.1**1.5 + 2.3**1.5, 2.3**1.5])
-    d_0 = np.array([1.0 + 2.0**1.5, 2.0**1.5])
-    expected = 1.0 * (d_t[0] - d_0[0]) + (2.0 - 1.0) * (d_t[1] - d_0[1])
-    assert abs(abel_resummed(st, s0, P2) - expected) < 1e-14
-    assert abel_resummed(s0, s0, P2) == 0.0
-    with pytest.raises(ParameterError):
-        abel_resummed(SolitonState((1.0,), (0.0,)), s0, P2)
-
-
-# ---------------------------------------------------------------------------
 # speed ramp and quadratic forms
 
 def test_speed_ramp_plateaus():
@@ -227,7 +201,6 @@ def test_bilinear_symmetry_and_linearity():
     lhs = bilinear_form(f, Field(grid, g.values + e.values), st, w, P2)
     rhs = bilinear_form(f, g, st, w, P2) + bilinear_form(f, e, st, w, P2)
     assert abs(lhs - rhs) < 1e-10
-    assert quadratic_form(g, st, w, P2) == bilinear_form(g, g, st, w, P2)
 
 
 def test_quadratic_form_annihilates_translation_mode():
@@ -237,7 +210,7 @@ def test_quadratic_form_annihilates_translation_mode():
     st = SolitonState((1.3,), (5.0,))
     w = weight_for(st, P2)
     kv = Field(grid, eval_Qc(2, 1.3, grid.wrap(grid.x - 5.0), 1))
-    assert abs(quadratic_form(kv, st, w, P2)) < 1e-10 * l2_norm(kv)**2
+    assert abs(bilinear_form(kv, kv, st, w, P2)) < 1e-10 * l2_norm(kv)**2
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +241,7 @@ def test_spectrum_eigenvector_properties(spectrum_pair):
     v = res_c.eigenvector
     assert abs(l2_norm(v) - 1.0) < 1e-12
     # Rayleigh identity against the quadratic form and the H1 weight
-    qv = quadratic_form(v, st, w, P2)
+    qv = bilinear_form(v, v, st, w, P2)
     assert abs(qv - res_c.lambda_min * h1_norm(v)**2) < 1e-10
     for c, x0 in zip(st.speeds, st.positions):
         y = grid.wrap(grid.x - x0)

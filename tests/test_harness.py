@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkdv import (ConfigValidationError, Field, Grid, ParameterError,
-                  read_snapshots)
+from gkdv import (ConfigValidationError, DecompositionFailureError, Field,
+                  Grid, ParameterError, read_snapshots)
+from gkdv import modulation as modulation_mod
 from gkdv import solver as solver_mod
 from gkdv.harness import runs as runs_mod
-from gkdv.harness.cli import build_parser, main
+from gkdv.harness.cli import _FAMILY_PRESET, build_parser, main
 from gkdv.harness.config import (ExperimentConfig, GridConfig,
                                  PerturbationConfig, SpongeSettings,
                                  config_from_dict, config_to_dict, load_config,
@@ -145,11 +146,36 @@ def test_preset_roundtrip(name, tmp_path):
     assert load_config(path) == cfg
 
 
+_PRESET_DIR = Path(__file__).resolve().parents[1] / "src" / "gkdv" / "harness" / "presets"
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_config_files_match_presets(name):
-    # configs/*.json and the preset registry describe the same experiments
-    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
-    assert load_config(path) == preset(name)
+    # each preset file is named after its label and spells out every field,
+    # so a changed default in the dataclasses cannot change a preset
+    path = _PRESET_DIR / f"{name}.json"
+    cfg = preset(name)
+    assert cfg.label == name
+    assert path.read_text() == json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+
+
+def test_presets_are_the_shipped_files():
+    assert preset_names() == tuple(sorted(p.stem for p in _PRESET_DIR.glob("*.json")))
+    for family, name in _FAMILY_PRESET.items():
+        assert preset(name).family == family
+
+
+def test_config_rejects_bad_thresholds():
+    # a misspelt key would otherwise fall back silently to the default
+    with pytest.raises(ConfigValidationError, match="conservaton"):
+        _cfg(thresholds={"conservaton": 1e-9})
+    with pytest.raises(ConfigValidationError, match="lambda_min"):
+        _cfg(thresholds={"conservation": 1e-9, "lambda_min": 0.0})
+    # these would pass the key check and fail only when the checks run
+    for bad in (["conservation"], {"conservation": "1e-9"}, {"conservation": True}):
+        with pytest.raises(ConfigValidationError, match="must map names to numbers"):
+            config_from_dict({"family": "simulate", "thresholds": bad})
+    assert _cfg(thresholds={"conservation": 1e-9}).thresholds == {"conservation": 1e-9}
 
 
 def test_config_from_dict_errors(tmp_path):
@@ -269,6 +295,7 @@ def test_execute_simulate_artifacts(tmp_path, small_sim_cfg):
     assert payload["passed"] is True
     assert payload["family"] == "simulate"
     assert payload["config"]["label"] == "small-sim"
+    assert payload["extras"]["tracking"] == {"t_failed": None, "error": None}
     snaps = read_snapshots(tmp_path / "snapshots.bin")
     assert snaps.times.size == 5
     assert snaps.grid == Grid(1024, 128.0, -64.0)
@@ -369,6 +396,24 @@ def test_tracked_run_computes_conserved_once_per_snapshot(tmp_path, monkeypatch)
     # derivative pair each for u, eps and the distance to the frozen speeds
     gaps = [b - a for a, b in zip(marks[1::2], marks[2::2])]
     assert gaps == [7 if i % 20 == 0 else 0 for i in range(1, 101)]
+
+
+def test_tracking_failure_reaches_the_report(tmp_path, monkeypatch, small_sim_cfg):
+    real = modulation_mod.decompose
+    calls = []
+
+    def failing_third(u, guess, params, **kwargs):
+        calls.append(guess)
+        if len(calls) == 3:
+            raise DecompositionFailureError("injected at the third snapshot")
+        return real(u, guess, params, **kwargs)
+
+    monkeypatch.setattr(modulation_mod, "decompose", failing_third)
+    execute(small_sim_cfg.with_updates(write_snapshots=False), tmp_path)
+    tracking = json.loads((tmp_path / "report.json").read_text())["extras"]["tracking"]
+    assert tracking == {"t_failed": 1.0,
+                        "error": "DecompositionFailureError: injected at the third snapshot"}
+    assert len(calls) == 3                      # no solve after the failure
 
 
 @pytest.fixture()

@@ -1,18 +1,15 @@
 """Constrained decomposition: residuals, Jacobian, Newton solve, tracking."""
 
-import types
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gkdv import (Field, Grid, ModelParams, ParameterError, SolitonState,
-                  decompose, eval_Qc, evolve, initial_guess, l2_norm,
-                  ortho_jacobian, ortho_residual, soliton_sum, track,
-                  write_modulation_csv)
+from fd_jacobian import fd_jacobian
+from gkdv import (Field, Grid, ModelParams, ModulationTracker, ParameterError,
+                  SolitonState, decompose, eval_Qc, evolve, initial_guess,
+                  l2_norm, ortho_jacobian, ortho_residual, soliton_sum)
 from gkdv.errors import (DecompositionFailureError,
                          DegenerateConfigurationError, GuessFailureError)
-from gkdv.modulation import ModulationTracker, _fd_rates
 
 P2 = ModelParams(2)
 GRID = Grid(2048, 256.0, -128.0)
@@ -91,10 +88,8 @@ def test_jacobian_fd_agreement():
     u = Field(GRID, u.values + 1e-3 * np.exp(-(GRID.x - 5.0) ** 2))
     st_off = SolitonState((0.95, 2.3), (-24.4, 18.5))
     Ja = ortho_jacobian(u, st_off, P2)
-    Jf = ortho_jacobian(u, st_off, P2, mode="fd")
+    Jf = fd_jacobian(u, st_off, P2)
     assert np.max(np.abs(Ja - Jf)) < 1e-7 * np.max(np.abs(Ja))
-    with pytest.raises(ParameterError):
-        ortho_jacobian(u, st_off, P2, mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +128,6 @@ def test_decompose_returns_its_final_residual_and_basis():
     assert np.array_equal(dec.ortho_residuals, ortho_residual(u, dec.state, P2))
     assert dec.basis.state == dec.state
     assert np.array_equal(dec.epsilon.values, u.values - soliton_sum(P2, dec.state, GRID).values)
-    # trajectories keep their decompositions but not the cached rows
-    res = track(types.SimpleNamespace(times=[0.0, 0.1], fields=[u, u]), P2, guess=dec.state)
-    assert all(d is not None and d.basis is None for d in res.decompositions)
 
 
 def test_decompose_failure_carries_state():
@@ -203,30 +195,32 @@ def _ballistic_trajectory(st, times):
     for t in times:
         moved = SolitonState(st.speeds, tuple(st.position_array + st.speed_array * t))
         fields.append(soliton_sum(P2, moved, GRID))
-    return types.SimpleNamespace(times=np.asarray(times), fields=fields)
+    return np.asarray(times), fields
+
+
+def _track(times, fields, n_solitons):
+    """Seed from the peaks of the first snapshot, then update a
+    ModulationTracker at every snapshot, as the diagnostics collector does;
+    returns the tracker and the speeds and positions, NaN where skipped."""
+    seed = initial_guess(fields[0], n_solitons, P2)
+    tracker = ModulationTracker(P2, seed, t0=float(times[0]))
+    speeds = np.full((len(times), n_solitons), np.nan)
+    positions = np.full((len(times), n_solitons), np.nan)
+    for i, (t, f) in enumerate(zip(times, fields)):
+        dec = tracker.update(float(t), f)
+        if dec is not None:
+            speeds[i], positions[i] = dec.state.speeds, dec.state.positions
+    return tracker, speeds, positions
 
 
 def test_track_ballistic_sum():
     st = SolitonState((1.0, 2.2), (-60.0, 10.0))
-    times = np.linspace(0.0, 4.0, 9)
-    res = track(_ballistic_trajectory(st, times), P2, n_solitons=2)
-    assert res.failure_index is None
-    assert np.max(np.abs(res.speeds - st.speed_array)) < 1e-9
+    times, fields = _ballistic_trajectory(st, np.linspace(0.0, 4.0, 9))
+    tracker, speeds, positions = _track(times, fields, 2)
+    assert tracker.failure_index is None
+    assert np.max(np.abs(speeds - st.speed_array)) < 1e-9
     expected_pos = st.position_array + np.outer(times, st.speed_array)
-    assert np.max(np.abs(res.positions - expected_pos)) < 1e-9
-    assert np.nanmax(np.abs(res.cdot)) < 1e-9
-    assert np.nanmax(np.abs(res.xdot_minus_c)) < 1e-8
-
-
-def test_track_csv_layout(tmp_path):
-    st = SolitonState((1.0, 2.2), (-60.0, 10.0))
-    times = np.linspace(0.0, 2.0, 5)
-    res = track(_ballistic_trajectory(st, times), P2, n_solitons=2)
-    path = tmp_path / "modulation.csv"
-    write_modulation_csv(path, res)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,c1,c2,x1,x2,eps_l2,eps_h1,max_ortho_residual,iterations"
-    assert len(lines) == 6
+    assert np.max(np.abs(positions - expected_pos)) < 1e-9
 
 
 def test_tracker_skips_below_min_separation():
@@ -239,12 +233,13 @@ def test_tracker_skips_below_min_separation():
 
 def test_tracker_records_first_failure():
     st = SolitonState((1.0, 2.2), (-60.0, 10.0))
-    traj = _ballistic_trajectory(st, np.linspace(0.0, 2.0, 5))
-    traj.fields[2] = Field(GRID, np.zeros(GRID.n))
-    res = track(traj, P2, n_solitons=2)
-    assert res.failure_index == 2
-    assert np.all(np.isnan(res.speeds[2:]))    # no recovery after a hard failure
-    assert np.all(np.isfinite(res.speeds[:2]))
+    times, fields = _ballistic_trajectory(st, np.linspace(0.0, 2.0, 5))
+    fields[2] = Field(GRID, np.zeros(GRID.n))
+    tracker, speeds, _ = _track(times, fields, 2)
+    assert tracker.failure_index == 2
+    assert isinstance(tracker.failure_error, DegenerateConfigurationError)
+    assert np.all(np.isnan(speeds[2:]))        # no recovery after a hard failure
+    assert np.all(np.isfinite(speeds[:2]))
 
 
 def test_track_follows_evolution():
@@ -252,18 +247,8 @@ def test_track_follows_evolution():
     st = SolitonState((1.0, 2.2), (-40.0, 5.0))
     u0 = soliton_sum(P2, st, grid)
     traj = evolve(u0, 2.0, P2, 1e-3, cadence=0.5)
-    res = track(traj, P2, n_solitons=2)
-    assert res.failure_index is None
-    assert np.max(np.abs(res.speeds - st.speed_array)) < 1e-4
-    drift = res.positions - st.position_array - np.outer(res.times, st.speed_array)
+    tracker, speeds, positions = _track(traj.times, traj.fields, 2)
+    assert tracker.failure_index is None
+    assert np.max(np.abs(speeds - st.speed_array)) < 1e-4
+    drift = positions - st.position_array - np.outer(traj.times, st.speed_array)
     assert np.max(np.abs(drift)) < 1e-3
-
-
-def test_fd_rates_gap_handling():
-    times = np.array([0.0, 1.0, 2.0, 3.0])
-    series = np.array([[0.0], [1.0], [np.nan], [9.0]])
-    rates = _fd_rates(times, series)
-    assert rates[0, 0] == 1.0                  # one-sided at the start
-    assert rates[1, 0] == 1.0                  # falls back across the gap
-    assert rates[2, 0] == 4.0                  # centered uses finite neighbors
-    assert np.isnan(rates[3, 0])

@@ -322,7 +322,6 @@ def test_nsoliton_input_validation():
 def test_model_params():
     with pytest.raises(UnsupportedModelError):
         ModelParams(5)
-    mp = ModelParams(3)
-    assert mp.beta == 1.0
-    assert mp.kappa == (5.0 - 3.0) / (3.0 + 3.0)
-    assert abs(mp.mass_exponent - 0.5) < 1e-15
+    with pytest.raises(UnsupportedModelError):
+        ModelParams(1)
+    assert [ModelParams(p).p for p in (2, 3, 4)] == [2, 3, 4]
