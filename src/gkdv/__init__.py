@@ -13,23 +13,20 @@ from .errors import (BlowupError, ConfigValidationError,
                      ParameterError, SpectralFailureError, StepSizeError,
                      UnsupportedModelError)
 from .functionals import (LocalizedMassRecord, PsiWeight, SpectrumResult,
-                          bilinear_form, constrained_spectrum,
-                          energy_expansion_residual, linearized_energy_form,
-                          localized_mass_rate_terms, localized_masses,
-                          midpoints, speed_ramp, weight_for,
+                          constrained_spectrum, energy_expansion_residual,
+                          linearized_energy_form, localized_mass_rate_terms,
+                          localized_masses, midpoints, speed_ramp, weight_for,
                           write_spectral_certificate)
 from .grid import Field, Grid
 from .modulation import (Decomposition, ModulationTracker, decompose,
                          initial_guess, ortho_jacobian, ortho_residual)
 from .profiles import (ModelParams, SolitonState, eval_Q, eval_Qc,
-                       kdv_nsoliton_profile, profile_gradient_constant,
-                       profile_integral_constant, profile_mass_constant,
-                       sigma0_of_speeds, soliton_energy, soliton_mass,
-                       soliton_sum)
+                       kdv_nsoliton_profile, profile_mass_constant,
+                       sigma0_of_speeds, soliton_energy, soliton_sum)
 from .snapio import SnapshotSet, read_snapshots, write_snapshots
-from .solver import (C_STAB, ConservedQuantities, SpongeSettings, Stepper,
-                     Trajectory, conserved, dt_stability_bound, evolve,
-                     h1_norm, l2_norm, l2_norm_right_of, sponge_profile)
+from .solver import (ConservedQuantities, SpongeSettings, Stepper, Trajectory,
+                     conserved, dt_stability_bound, evolve, h1_norm, l2_norm,
+                     l2_norm_right_of, sponge_profile)
 
 __version__ = "0.1.0"
 
@@ -38,7 +35,7 @@ __all__ = [
     "DegenerateConfigurationError", "DomainTooSmallError", "GkdvError",
     "GuessFailureError", "ParameterError", "SpectralFailureError",
     "StepSizeError", "UnsupportedModelError",
-    "LocalizedMassRecord", "PsiWeight", "SpectrumResult", "bilinear_form",
+    "LocalizedMassRecord", "PsiWeight", "SpectrumResult",
     "constrained_spectrum", "energy_expansion_residual",
     "linearized_energy_form", "localized_mass_rate_terms", "localized_masses",
     "midpoints", "speed_ramp", "weight_for", "write_spectral_certificate",
@@ -46,11 +43,9 @@ __all__ = [
     "Decomposition", "ModulationTracker", "decompose", "initial_guess",
     "ortho_jacobian", "ortho_residual",
     "ModelParams", "SolitonState", "eval_Q", "eval_Qc", "kdv_nsoliton_profile",
-    "profile_gradient_constant", "profile_integral_constant",
-    "profile_mass_constant", "sigma0_of_speeds", "soliton_energy",
-    "soliton_mass", "soliton_sum",
+    "profile_mass_constant", "sigma0_of_speeds", "soliton_energy", "soliton_sum",
     "SnapshotSet", "read_snapshots", "write_snapshots",
-    "C_STAB", "ConservedQuantities", "SpongeSettings", "Stepper", "Trajectory",
+    "ConservedQuantities", "SpongeSettings", "Stepper", "Trajectory",
     "conserved", "dt_stability_bound", "evolve", "h1_norm", "l2_norm",
     "l2_norm_right_of", "sponge_profile",
 ]

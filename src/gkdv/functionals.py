@@ -203,17 +203,6 @@ def speed_ramp(dec_or_state, w: PsiWeight, grid: Grid) -> np.ndarray:
     return out
 
 
-def bilinear_form(f: Field, g: Field, dec_or_state, w: PsiWeight,
-                  params: ModelParams) -> float:
-    """int f_x g_x - p R^(p-1) f g + c(x) f g with R the full profile sum."""
-    grid = f.grid
-    R = _basis_of(dec_or_state, params, grid).total
-    ramp = speed_ramp(dec_or_state, w, grid)
-    fx, gx = f.dx, g.dx
-    h = grid.spacing
-    return h * float(np.sum(fx * gx + (-params.p * R ** (params.p - 1) + ramp) * f.values * g.values))
-
-
 def linearized_energy_form(eps: Field, dec_or_state, params: ModelParams) -> float:
     """int eps_x^2 - p R^(p-1) eps^2 (no speed ramp), the energy Hessian term."""
     grid = eps.grid

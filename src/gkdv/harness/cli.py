@@ -47,9 +47,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, default=None,
                      help="perturbation H1 amplitude")
     sub.add_argument("--alphas", type=_floats, default=None,
-                     help="amplitude sweep (quadratic-control)")
+                     help="amplitude limbs (stability, quadratic-control)")
     sub.add_argument("--separations", type=_floats, default=None,
-                     help="separation sweep (stability, monotonicity)")
+                     help="separation sweep (monotonicity)")
     sub.add_argument("--grid", type=int, default=None, help="number of grid points")
     sub.add_argument("--domain", type=float, default=None, help="domain length")
     sub.add_argument("--x0", type=float, default=None, help="left edge of the domain")

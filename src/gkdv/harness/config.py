@@ -103,8 +103,8 @@ class ExperimentConfig:
     track: TrackSettings = field(default_factory=TrackSettings)
     y0: float | None = None
     ref_index: int | None = None
-    alphas: tuple = ()                # quadratic-control sweep
-    sweep_separations: tuple = ()     # stability / monotonicity sweep
+    alphas: tuple = ()                # stability / quadratic-control amplitude limbs
+    sweep_separations: tuple = ()     # monotonicity separation sweep
     identity_t: float = 1.5           # monotonicity: fine-cadence identity run
     identity_cadence: float = 0.0025
     write_snapshots: bool = False
@@ -190,6 +190,11 @@ def _check_common(cfg: ExperimentConfig) -> None:
         _fail(f"y0 must be positive, got {cfg.y0}")
     if cfg.ref_index is not None and not (0 <= cfg.ref_index < c.size):
         _fail(f"ref_index {cfg.ref_index} outside 0..{c.size - 1}")
+    # a sweep field that the family never reads would be silently ignored
+    for name, readers in (("alphas", ("stability", "quadratic-control")),
+                          ("sweep_separations", ("monotonicity",))):
+        if getattr(cfg, name) and cfg.family not in readers:
+            _fail(f"{name} is read only by {' and '.join(readers)}, not by {cfg.family}")
 
 
 def _check_family(cfg: ExperimentConfig) -> None:

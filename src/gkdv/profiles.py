@@ -163,33 +163,6 @@ def profile_mass_constant(p: int) -> float:
     return val + tail
 
 
-@lru_cache(maxsize=None)
-def profile_gradient_constant(p: int) -> float:
-    """int (Q')^2 dx, same quadrature scheme as the mass constant."""
-    p = _check_p(p)
-    val, _ = quad(lambda x: float(eval_Q(p, x, 1)) ** 2, -_QUAD_HALF_WIDTH, _QUAD_HALF_WIDTH,
-                  epsabs=1e-14, epsrel=1e-13, limit=200)
-    tail = _tail_amplitude(p) ** 2 * math.exp(-2.0 * _QUAD_HALF_WIDTH)
-    return val + tail
-
-
-@lru_cache(maxsize=None)
-def profile_integral_constant(p: int) -> float:
-    """int Q dx (normalization constant of the transition weight)."""
-    p = _check_p(p)
-    val, _ = quad(lambda x: float(eval_Q(p, x)), -_QUAD_HALF_WIDTH, _QUAD_HALF_WIDTH,
-                  epsabs=1e-14, epsrel=1e-13, limit=200)
-    tail = 2.0 * _tail_amplitude(p) * math.exp(-_QUAD_HALF_WIDTH)
-    return val + tail
-
-
-def soliton_mass(p: int, c: float) -> float:
-    """int Q_c^2 = c^((5-p)/(2(p-1))) int Q^2."""
-    p = _check_p(p)
-    c = _check_speed(c)
-    return c ** ((5.0 - p) / (2.0 * (p - 1))) * profile_mass_constant(p)
-
-
 def soliton_energy(p: int, c: float) -> float:
     """E(Q_c) = -(kappa/2) c^((p+3)/(2(p-1))) int Q^2 with kappa = (5-p)/(p+3)."""
     p = _check_p(p)

@@ -185,8 +185,9 @@ class Stepper:
 class Trajectory:
     """Snapshots of an evolution at uniform cadence, plus conserved series.
 
-    conservative is False when the absorbing layer was active (mass/energy
-    drift is then physical, not numerical).
+    final is the last snapshot, kept whether or not fields are. conservative
+    is False when the absorbing layer was active (mass/energy drift is then
+    physical, not numerical).
     """
 
     params: ModelParams
@@ -195,6 +196,7 @@ class Trajectory:
     cadence: float
     times: np.ndarray
     fields: list
+    final: Field | None
     mass: np.ndarray
     energy: np.ndarray
     conservative: bool
@@ -252,6 +254,7 @@ def evolve(u0: Field | list, t_final: float, params: ModelParams, dt: float,
 
     stepper = Stepper(grid, dt, params, sponge)
     series = [([], [], [], []) for _ in starts]       # times, fields, mass, energy per member
+    finals = [None] * len(starts)                     # last snapshot per member
     results = [None] * len(starts)
     alive = list(range(len(starts)))                  # member of each stack row
     uhat = np.fft.rfft(np.stack([f.values for f in starts]))
@@ -260,7 +263,7 @@ def evolve(u0: Field | list, t_final: float, params: ModelParams, dt: float,
     def _partial(k: int) -> Trajectory:
         times, fields, mass, energy = series[k]
         return Trajectory(params=params, grid=grid, dt=dt, cadence=every * dt,
-                          times=np.asarray(times), fields=fields,
+                          times=np.asarray(times), fields=fields, final=finals[k],
                           mass=np.asarray(mass), energy=np.asarray(energy),
                           conservative=stepper._sigma is None)
 
@@ -285,6 +288,7 @@ def evolve(u0: Field | list, t_final: float, params: ModelParams, dt: float,
             u = Field(grid, vals[row])
             q = conserved(u, params)
             times.append(t)
+            finals[alive[row]] = u
             mass.append(q.mass)
             energy.append(q.energy)
             if keep_fields:

@@ -11,12 +11,13 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from dense_spectrum import dense_constrained_spectrum
 from gkdv import (Field, Grid, ModelParams, ParameterError, PsiWeight,
                   SolitonState, SpectralFailureError, UnsupportedModelError,
-                  bilinear_form, constrained_spectrum, decompose,
+                  constrained_spectrum, decompose,
                   energy_expansion_residual, eval_Qc, evolve, h1_norm, l2_norm,
                   linearized_energy_form, localized_mass_rate_terms,
                   localized_masses, midpoints, soliton_sum, speed_ramp,
                   weight_for, write_spectral_certificate)
 from psi_quadrature import psi_numeric
+from quadratic_form import bilinear_form
 
 P2 = ModelParams(2)
 

@@ -112,6 +112,18 @@ def test_config_family_rules():
                          positions=(30.0, -30.0))
 
 
+def test_config_rejects_sweep_fields_the_family_ignores():
+    # stability reads alphas, not sweep_separations
+    with pytest.raises(ConfigValidationError, match="sweep_separations"):
+        preset("stability-bound").with_updates(sweep_separations=(10.0, 20.0))
+    with pytest.raises(ConfigValidationError, match="alphas"):
+        preset("mass-monotonicity").with_updates(alphas=(1e-3, 1e-2))
+    with pytest.raises(ConfigValidationError, match="alphas"):
+        _cfg(alphas=(1e-3, 1e-2))
+    for name in preset_names():
+        preset(name)
+
+
 def test_config_rejects_cadence_off_the_output_lattice():
     # the nearest cadence multiple, 0.9, lies below t_final = 1.0
     with pytest.raises(ConfigValidationError, match="multiple of cadence"):
@@ -470,6 +482,42 @@ def test_stability_sweep_isolates_failed_limb(tmp_path, monkeypatch,
     assert (tmp_path / "series.csv").exists()   # survivors still recorded
 
 
+def test_sweep_reports_tracker_failures(tmp_path, monkeypatch, small_stability_cfg):
+    # the limbs are decomposed in turn at each snapshot, so the tenth solve is
+    # the alpha = 0 limb's at t = 1.5
+    real = modulation_mod.decompose
+    calls = []
+
+    def failing_tenth(u, guess, params, **kwargs):
+        calls.append(guess)
+        if len(calls) == 10:
+            raise DecompositionFailureError("injected at the tenth solve")
+        return real(u, guess, params, **kwargs)
+
+    monkeypatch.setattr(modulation_mod, "decompose", failing_tenth)
+    execute(small_stability_cfg, tmp_path)
+    text = (tmp_path / "report.json").read_text()
+    assert "DecompositionFailureError: injected at the tenth solve" in text
+    tracking = json.loads(text)["extras"]["tracking"]
+    assert tracking == [
+        {"alpha": 0.0, "t_failed": 1.5,
+         "error": "DecompositionFailureError: injected at the tenth solve"},
+        {"alpha": 3e-3, "t_failed": None, "error": None},
+        {"alpha": 1e-2, "t_failed": None, "error": None}]
+
+
+def test_check_compares_the_reported_value():
+    check = runs_mod._check
+    assert check("c", 1.0, 1.0).passed and check("c", 1.0, 1.0, ">=").passed
+    assert not check("c", 1.0, 1.0, "<").passed
+    assert not check("c", 1.0, 1.0, ">").passed
+    assert check("c", 0.5, 1.0, "<").passed and check("c", 2.0, 1.0, ">").passed
+    assert not check("c", float("nan"), 1.0).passed
+    missing = check("c", None, 1.0, ">=", "nothing measured")
+    assert not missing.passed
+    assert (missing.value, missing.comparison, missing.detail) == (None, ">=", "nothing measured")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -508,6 +556,13 @@ def test_cli_config_errors(tmp_path, capsys):
 def test_cli_override_validation_failure(tmp_path):
     # dt pushed over the stability gate is rejected before any run
     assert main(["simulate", "--dt", "1.0", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_rejects_an_ignored_sweep(tmp_path, capsys):
+    # stability has no separation sweep; the flag must not be dropped silently
+    assert main(["stability", "--separations", "10,20", "--out", str(tmp_path)]) == 2
+    assert "sweep_separations" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_parser_and_overrides():

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta
 
 from gkdv import (DomainTooSmallError, Field, Grid, ModelParams, ParameterError,
                   SolitonState, UnsupportedModelError, eval_Q, eval_Qc,
-                  kdv_nsoliton_profile, profile_gradient_constant,
-                  profile_integral_constant, profile_mass_constant,
-                  sigma0_of_speeds, soliton_energy, soliton_mass, soliton_sum)
+                  kdv_nsoliton_profile, profile_mass_constant,
+                  sigma0_of_speeds, soliton_energy, soliton_sum)
 from gkdv.profiles import SolitonBasis
 
 ALL_P = (2, 3, 4)
@@ -122,23 +122,31 @@ def test_mass_constant(p, frozen):
     assert abs(profile_mass_constant(p) - oracle) < 1e-12
 
 
+def _sech_moments(p: int):
+    """Closed forms of int Q and int (Q')^2 for Q = A sech(b x)^a, with
+    A = ((p+1)/2)^(1/(p-1)), a = 2/(p-1), b = (p-1)/2 and Q' = -A sech^a tanh,
+    from int sech(b x)^s dx = B(s/2, 1/2) / b."""
+    amp, a, b = ((p + 1) / 2.0) ** (1.0 / (p - 1)), 2.0 / (p - 1), (p - 1) / 2.0
+    moment = lambda s: beta(0.5 * s, 0.5) / b
+    return amp * moment(a), amp ** 2 * (moment(2 * a) - moment(2 * a + 2))
+
+
 def test_gradient_constant_p2():
     # int (Q')^2 = 1.2 for p=2 (sech^4-sech^6 moments)
     oracle = _quad_oracle(lambda x: float(eval_Q(2, x, 1)) ** 2)
     assert abs(oracle - 1.2) < 1e-12
-    assert abs(profile_gradient_constant(2) - oracle) < 1e-12
 
 
 @pytest.mark.parametrize("p", (3, 4))
 def test_gradient_constant_matches_quadrature(p):
     oracle = _quad_oracle(lambda x: float(eval_Q(p, x, 1)) ** 2)
-    assert abs(profile_gradient_constant(p) - oracle) < 1e-12
+    assert abs(_sech_moments(p)[1] - oracle) < 1e-12
 
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_integral_constant(p):
     oracle = _quad_oracle(lambda x: float(eval_Q(p, x)))
-    assert abs(profile_integral_constant(p) - oracle) < 1e-12
+    assert abs(_sech_moments(p)[0] - oracle) < 1e-12
     if p == 2:
         assert abs(oracle - 6.0) < 1e-12   # 1.5 * int sech^2(x/2) = 6
 
@@ -146,14 +154,10 @@ def test_integral_constant(p):
 @pytest.mark.parametrize("p", ALL_P)
 @pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
 def test_mass_scaling(p, c):
+    # int Q_c^2 = c^((5-p)/(2(p-1))) int Q^2
     oracle = _quad_oracle(lambda x: float(eval_Qc(p, c, x)) ** 2)
-    assert abs(soliton_mass(p, c) - oracle) < 1e-9 * max(1.0, oracle)
     expo = (5.0 - p) / (2.0 * (p - 1))
-    assert abs(soliton_mass(p, c) - c**expo * profile_mass_constant(p)) < 1e-12
-
-
-def test_mass_example():
-    assert abs(soliton_mass(2, 1.0) - 6.0) < 1e-8
+    assert abs(c**expo * profile_mass_constant(p) - oracle) < 1e-9 * max(1.0, oracle)
 
 
 def test_energy_example():

@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gkdv import (BlowupError, C_STAB, Field, Grid, ModelParams, ParameterError,
+from gkdv import (BlowupError, Field, Grid, ModelParams, ParameterError,
                   SolitonState, SpongeSettings, StepSizeError, Stepper, conserved,
                   dt_stability_bound, eval_Qc, evolve, h1_norm,
                   kdv_nsoliton_profile, l2_norm, l2_norm_right_of,
                   read_snapshots, soliton_sum, sponge_profile, write_snapshots)
-from gkdv.solver import _int_power
+from gkdv.solver import C_STAB, _int_power
 
 P2 = ModelParams(2)
 
@@ -120,6 +120,24 @@ def test_evolve_validation_and_snapshots():
     lean = evolve(z, 0.1, P2, 1e-3, cadence=0.02, keep_fields=False)
     assert lean.fields == []
     assert lean.conservative
+
+
+def test_trajectory_final_is_the_last_snapshot():
+    grid = Grid(512, 128.0, -64.0)
+    u0 = soliton_sum(P2, SolitonState((1.0,), (-20.0,)), grid)
+    kept = evolve(u0, 0.1, P2, 1e-3, cadence=0.02)
+    assert kept.final is kept.fields[-1]
+    streamed = evolve(u0, 0.1, P2, 1e-3, cadence=0.02, keep_fields=False)
+    assert streamed.fields == []
+    assert np.array_equal(streamed.final.values, kept.final.values)
+    # a blowup's partial trajectory ends at its last finite snapshot
+    coarse = Grid(512, 64.0, -32.0)
+    big = Field(coarse, 300.0 * np.exp(-coarse.x**2))
+    with pytest.raises(BlowupError) as err, np.errstate(over="ignore", invalid="ignore"):
+        evolve(big, 1.0, P2, dt_stability_bound(coarse), keep_fields=False)
+    final = err.value.trajectory.final
+    assert final is not None and final.grid == coarse
+    assert np.all(np.isfinite(final.values))
 
 
 def test_kept_fields_hold_no_cached_derivative():
