@@ -2,9 +2,10 @@
 
 The transition weight psi ramps from 0 to 1 over the length scale 4/sqrt(sigma0)
 and is built from the ambient ground profile: psi' = c_psi Q(sqrt(sigma0) x / 2)
-with c_psi fixed so that the total increment is exactly 1. Localized masses,
-the speed-ramp quadratic form, its constrained spectrum, and the linearized
-energy bookkeeping all live here.
+with c_psi fixed so that the total increment is exactly 1; psi is elementary
+for p = 2 and 3 and a regularized incomplete beta for p = 4. Localized
+masses, the speed-ramp quadratic form, its constrained spectrum, and the
+linearized energy bookkeeping all live here.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ class PsiWeight:
 
     psi(x) = (1 + sign(x) I(tanh^2(b x); 1/2, 1/(p-1))) / 2 in closed form,
     with I the regularized incomplete beta and b = (p-1) sqrt(sigma0) / 4;
-    its derivative is exactly c_psi Q(sqrt(sigma0) x / 2).
+    its derivative is exactly c_psi Q(sqrt(sigma0) x / 2). Since psi' is
+    proportional to sech^q(b x), psi is 1/(1 + e^(-2 b x)) for p = 2 (q = 2)
+    and (2/pi) arctan(e^(b x)) for p = 3 (q = 1); only p = 4 (q = 2/3) needs
+    the incomplete beta.
     """
 
     p: int
@@ -89,10 +93,17 @@ class PsiWeight:
             return self._phi_of(s), self._phi2_of(s)
         if deriv != 0:
             raise ParameterError(f"deriv must be 0, 1, 3 or (1, 3), got {deriv}")
-        # swapped-argument incomplete beta: sech^2 stays accurate where
-        # tanh^2 would round to 1 and silently drop the far tail
-        s2 = _sech(self.b * x) ** 2
-        tail = 0.5 * betainc(0.5 * self.q, 0.5, s2)
+        # tail = psi(-|x|), the value on the far side, so the left tail keeps
+        # its last bits; elementary for q = 2 and q = 1
+        if self.p == 2:
+            e2 = np.exp(-np.abs(self.b * x)) ** 2
+            tail = e2 / (1.0 + e2)
+        elif self.p == 3:
+            tail = (2.0 / np.pi) * np.arctan(np.exp(-np.abs(self.b * x)))
+        else:
+            # swapped-argument incomplete beta: sech^2 stays accurate where
+            # tanh^2 would round to 1 and silently drop the far tail
+            tail = 0.5 * betainc(0.5 * self.q, 0.5, _sech(self.b * x) ** 2)
         return np.where(x < 0, tail, 1.0 - tail)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigValidationError, GkdvError
 from ..grid import Grid
-from ..profiles import SUPPORTED_P, sigma0_of_speeds
+from ..profiles import SUPPORTED_P, _check_seam_tails, sigma0_of_speeds
 from ..solver import SpongeSettings, dt_stability_bound, sponge_profile
 
 FAMILIES = ("simulate", "decompose", "spectrum", "stability", "monotonicity",
@@ -183,6 +183,10 @@ def _check_common(cfg: ExperimentConfig) -> None:
 
     try:
         sponge_profile(grid, cfg.sponge)
+        # soliton_sum's seam-tail test, before any work; spectrum and
+        # nsoliton build their fields without soliton_sum
+        if cfg.family not in ("spectrum", "nsoliton"):
+            _check_seam_tails(cfg.p, cfg.speeds, grid)
     except GkdvError as exc:
         _fail(str(exc))
 

@@ -382,11 +382,12 @@ def _sweep(cfg: ExperimentConfig, params, outdir: Path, key: str, limbs, build, 
     build(limb) gives the limb's (u0, collector) and measure(collector) its
     per-limb result. A GkdvError while building, evolving or measuring a limb
     becomes one failure record for it, with t_last when the evolution had
-    started; the other limbs go on. Returns [(limb, collector, result)] for
-    the completed limbs, and the report extras "failures" (the failure
-    records) and "tracking" (each completed limb's tracker failure, see
-    DiagnosticsCollector.tracking), both in limb order. The series tables of
-    the completed limbs are concatenated under a `key` column.
+    started; so does a tracker failure, with its t_failed. The other limbs go
+    on. Returns [(limb, collector, result)] for the measured limbs, and the
+    report extras "failures" (the failure records) and "tracking" (each
+    evolved limb's tracker failure, see DiagnosticsCollector.tracking), both
+    in limb order. The series tables of the evolved limbs are concatenated
+    under a `key` column.
     """
     outcomes = []                                   # per limb: (u0, collector) or its error
     for limb in limbs:
@@ -406,15 +407,21 @@ def _sweep(cfg: ExperimentConfig, params, outdir: Path, key: str, limbs, build, 
             collector, traj = out[1], next(trajs)
             if isinstance(traj, GkdvError):
                 raise traj
-            result = measure(collector)
+            tracking = {key: limb, **collector.tracking()}
+            # a limb whose tracker failed is not measured: its checks would
+            # read only the snapshots before the failure
+            result = measure(collector) if tracking["t_failed"] is None else None
         except GkdvError as exc:
             rec = {key: limb, "error": f"{type(exc).__name__}: {exc}"}
             if getattr(exc, "t_last", None) is not None:
                 rec["t_last"] = exc.t_last
             extras["failures"].append(rec)
             continue
-        done.append((limb, collector, result))
-        extras["tracking"].append({key: limb, **collector.tracking()})
+        extras["tracking"].append(tracking)
+        if tracking["t_failed"] is None:
+            done.append((limb, collector, result))
+        else:
+            extras["failures"].append(dict(tracking))
         table = collector.table(traj)
         for k, v in {key: np.full(table["t"].size, limb), **table}.items():
             columns.setdefault(k, []).append(v)

@@ -181,6 +181,18 @@ def _seam_tail_fraction(p: int, c: float, grid: Grid) -> float:
     return float(_sech(a * np.sqrt(c) * 0.5 * grid.length) ** q)
 
 
+def _check_seam_tails(p: int, speeds, grid: Grid) -> None:
+    """soliton_sum's test, also run by config validation: DomainTooSmallError
+    when a profile of one of the speeds keeps more than 1e-10 relative
+    amplitude at the seam (distance length/2)."""
+    for c in speeds:
+        frac = _seam_tail_fraction(p, c, grid)
+        if frac > 1e-10:
+            raise DomainTooSmallError(
+                f"soliton of speed {c} keeps relative amplitude {frac:.3e} at the periodic seam "
+                f"(threshold 1.000e-10); enlarge the domain")
+
+
 class SolitonBasis:
     """Rows R_j = Q_{c_j}(x - x_j) of a state on a grid, with their derivatives.
 
@@ -232,20 +244,14 @@ class SolitonBasis:
         return self.R.sum(axis=0)
 
 
-def soliton_sum(params: ModelParams, state: SolitonState, grid: Grid,
-                tail_threshold: float = 1e-10) -> Field:
+def soliton_sum(params: ModelParams, state: SolitonState, grid: Grid) -> Field:
     """Sum of rescaled profiles centered at the state's positions.
 
     Profiles are evaluated through the minimal periodic image; construction
-    fails with DomainTooSmallError when any profile retains more than
-    tail_threshold relative amplitude at the seam (distance length/2).
+    fails with DomainTooSmallError when any profile retains more than 1e-10
+    relative amplitude at the seam (distance length/2).
     """
-    for c in state.speeds:
-        frac = _seam_tail_fraction(params.p, c, grid)
-        if frac > tail_threshold:
-            raise DomainTooSmallError(
-                f"soliton of speed {c} keeps relative amplitude {frac:.3e} at the periodic seam "
-                f"(threshold {tail_threshold:.3e}); enlarge the domain")
+    _check_seam_tails(params.p, state.speeds, grid)
     return Field(grid, SolitonBasis(params, state, grid).total)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.special import betainc
 
 from dense_spectrum import dense_constrained_spectrum
 from gkdv import (Field, Grid, ModelParams, ParameterError, PsiWeight,
@@ -16,6 +17,7 @@ from gkdv import (Field, Grid, ModelParams, ParameterError, PsiWeight,
                   linearized_energy_form, localized_mass_rate_terms,
                   localized_masses, midpoints, soliton_sum, speed_ramp,
                   weight_for, write_spectral_certificate)
+from gkdv.profiles import _sech
 from psi_quadrature import psi_numeric
 from quadratic_form import bilinear_form
 
@@ -51,10 +53,65 @@ def test_psi_limits_and_monotonicity(p, s0):
 
 @pytest.mark.parametrize("p,s0", [(2, 0.125), (2, 0.5), (3, 0.5), (4, 1.0)])
 def test_psi_closed_vs_numeric(p, s0):
-    # the cumulative-quadrature oracle must reproduce the incomplete-beta form
+    # the cumulative-quadrature oracle must reproduce the closed form
     w = PsiWeight(p, s0)
     xs = np.linspace(-60.0, 60.0, 4001) / np.sqrt(s0)
     assert np.max(np.abs(w.psi(xs) - psi_numeric(w, xs))) < 1e-10
+
+
+def _psi_betainc(w: PsiWeight, x: np.ndarray) -> np.ndarray:
+    """psi through the swapped-argument incomplete beta, valid for every p."""
+    tail = 0.5 * betainc(0.5 * w.q, 0.5, _sech(w.b * x) ** 2)
+    return np.where(x < 0, tail, 1.0 - tail)
+
+
+def _psi_left_tail_longdouble(w: PsiWeight, x: np.ndarray) -> np.ndarray:
+    """psi(x) for x < 0 (p = 2 or 3) in long double, from the same float64 b and x."""
+    e = np.exp(np.longdouble(w.b) * x.astype(np.longdouble))
+    if w.p == 2:
+        return e * e / (1 + e * e)
+    return 2 / (4 * np.arctan(np.longdouble(1))) * np.arctan(e)
+
+
+PSI_GRID = Grid(8192, 512.0, -256.0)
+PSI_SHIFTS = (-100.0, -13.3, 0.0, 7.77, 60.0, 150.0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("s0", [0.25, 0.5, 1.0])
+def test_psi_closed_form_matches_betainc(p, s0):
+    w = PsiWeight(p, s0)
+    xs = PSI_GRID.x[None, :] - np.array(PSI_SHIFTS)[:, None]
+    # measured: at most 1.1e-14 (p = 2, s0 = 0.5) and 2.6e-15 (p = 3);
+    # 81-91% of the points are bit-equal
+    assert np.max(np.abs(w.psi(xs) - _psi_betainc(w, xs))) < 3e-14
+    # psi(x) + psi(-x) = 1: both sides come from the same far-side tail
+    assert np.max(np.abs(w.psi(xs) + w.psi(-xs) - 1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("s0", [0.25, 0.5, 1.0])
+def test_psi_left_tail_no_less_accurate_than_betainc(p, s0):
+    # relative error in the far left tail, beyond 4 e-foldings of psi'.
+    # Measured maxima, closed form against betainc: 1.4e-14 for both at
+    # s0 = 0.5, where the rounding of b x sets them (b is inexact there);
+    # 3.2-4.6e-16 against 4.2-6.9e-16 at s0 = 0.25 and 1. Per shift the
+    # closed form is at most 6e-17 worse, so one unit of round-off is allowed
+    w = PsiWeight(p, s0)
+    for shift in PSI_SHIFTS:
+        xs = PSI_GRID.x - shift
+        xs = xs[xs < -4.0 / (w.q * w.b)]
+        ref = _psi_left_tail_longdouble(w, xs)
+        closed = float(np.max(np.abs((w.psi(xs) - ref) / ref)))
+        beta = float(np.max(np.abs((_psi_betainc(w, xs) - ref) / ref)))
+        assert closed <= beta + np.finfo(float).eps, (shift, closed, beta)
+
+
+@pytest.mark.parametrize("s0", [0.25, 0.5, 1.0])
+def test_psi_p4_is_the_betainc_form(s0):
+    w = PsiWeight(4, s0)
+    xs = PSI_GRID.x[None, :] - np.array(PSI_SHIFTS)[:, None]
+    assert np.array_equal(w.psi(xs), _psi_betainc(w, xs))
 
 
 def test_psi_derivatives_consistent():

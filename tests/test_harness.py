@@ -133,6 +133,15 @@ def test_config_rejects_cadence_off_the_output_lattice():
         preset("mass-monotonicity").with_updates(identity_cadence=0.007)
 
 
+def test_config_rejects_a_seam_tail_before_any_work():
+    # a c = 1 soliton keeps 8.2e-9 of its amplitude at L/2 = 20; this used
+    # to validate and then fail in soliton_sum inside execute()
+    small = GridConfig(512, 40.0, -20.0)
+    with pytest.raises(ConfigValidationError, match="periodic seam"):
+        preset("single-soliton").with_updates(grid=small, t_final=1.0)
+    preset("single-soliton").with_updates(grid=GridConfig(512, 50.0, -25.0), t_final=1.0)
+
+
 def test_with_updates_revalidates():
     cfg = _cfg()
     with pytest.raises(ConfigValidationError):
@@ -495,15 +504,23 @@ def test_sweep_reports_tracker_failures(tmp_path, monkeypatch, small_stability_c
         return real(u, guess, params, **kwargs)
 
     monkeypatch.setattr(modulation_mod, "decompose", failing_tenth)
-    execute(small_stability_cfg, tmp_path)
+    report = execute(small_stability_cfg, tmp_path)
     text = (tmp_path / "report.json").read_text()
     assert "DecompositionFailureError: injected at the tenth solve" in text
-    tracking = json.loads(text)["extras"]["tracking"]
-    assert tracking == [
-        {"alpha": 0.0, "t_failed": 1.5,
-         "error": "DecompositionFailureError: injected at the tenth solve"},
+    extras = json.loads(text)["extras"]
+    failed = {"alpha": 0.0, "t_failed": 1.5,
+              "error": "DecompositionFailureError: injected at the tenth solve"}
+    assert extras["tracking"] == [
+        failed,
         {"alpha": 3e-3, "t_failed": None, "error": None},
         {"alpha": 1e-2, "t_failed": None, "error": None}]
+    # the limb that lost its last snapshots is not measured, so its checks fail
+    assert extras["failures"] == [failed]
+    assert extras["alphas"] == [3e-3, 1e-2]
+    assert not report.passed
+    cm = {c.name: c for c in report.checks}
+    assert not cm["baseline-distance"].passed
+    assert cm["baseline-distance"].detail == "unperturbed limb failed"
 
 
 def test_check_compares_the_reported_value():
