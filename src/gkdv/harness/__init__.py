@@ -1,9 +1,8 @@
 """Experiment harness: configs, perturbations, run drivers, CLI."""
 
-from .config import (ExperimentConfig, GridConfig, PerturbationConfig,
-                     SpongeSettings, TrackSettings, load_config, preset,
-                     preset_names)
-from .perturbations import make_perturbation, smooth_bump
+from .config import (ExperimentConfig, GridConfig, SpongeSettings,
+                     TrackSettings, load_config, preset, preset_names)
+from .perturbations import PerturbationConfig, make_perturbation, smooth_bump
 from .runs import CheckResult, RunReport, execute
 
 __all__ = [

@@ -1,9 +1,12 @@
 """Experiment configuration: dataclasses, JSON round trip, presets.
 
-Each experiment family has its own semantic checks on top of the common
-field validation; configuration problems raise ConfigValidationError with
-a message naming the offending field. The default thresholds of every
-family live here too; a config may override them, and only them.
+Validation builds what execute() builds, with the library's own code:
+ModelParams, SolitonState, the grid, the step-size gate and step lattice of
+the solver, the perturbation, the sponge profile and soliton_sum's seam-tail
+test. A library error comes back as ConfigValidationError, prefixed with the
+config field it concerns. On top of these, each experiment family has its
+own rules. The default thresholds of every family live here too; a config
+may override them, and only them.
 """
 
 from __future__ import annotations
@@ -17,16 +20,15 @@ import numpy as np
 
 from ..errors import ConfigValidationError, GkdvError
 from ..grid import Grid
-from ..profiles import SUPPORTED_P, _check_seam_tails, sigma0_of_speeds
-from ..solver import SpongeSettings, dt_stability_bound, sponge_profile
+from ..profiles import ModelParams, SolitonState, _check_seam_tails, sigma0_of_speeds
+from ..solver import SpongeSettings, check_step_size, sponge_profile, step_counts
+from .perturbations import PerturbationConfig, make_perturbation
 
 FAMILIES = ("simulate", "decompose", "spectrum", "stability", "monotonicity",
             "quadratic-control", "asymptotic", "nsoliton")
 
 # families that only inspect t=0 data, so time-stepping fields are unused
 STATIC_FAMILIES = ("decompose", "spectrum")
-
-PERTURBATION_KINDS = ("none", "bump", "noise")
 
 # every threshold a family's checks read, with its default; cfg.thresholds
 # may override these keys and no others
@@ -57,27 +59,7 @@ class GridConfig:
     x0: float | None = None
 
     def build(self) -> Grid:
-        try:
-            return Grid(self.n, self.length) if self.x0 is None else Grid(self.n, self.length, self.x0)
-        except GkdvError as exc:
-            raise ConfigValidationError(f"grid: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class PerturbationConfig:
-    """Initial perturbation, rescaled to exact H1 size `amplitude`.
-
-    location is either a float (absolute center) or "gap:<k>" for the center
-    of the gap between solitons k and k+1 (1-based).
-    """
-
-    kind: str = "none"
-    amplitude: float = 0.0
-    width: float = 5.0
-    location: str | float = "gap:1"
-    seed: int = 0
-    kmin: float = 0.05
-    kmax: float = 1.0
+        return Grid(self.n, self.length, self.x0)
 
 
 @dataclass(frozen=True)
@@ -125,6 +107,15 @@ def _fail(msg: str):
     raise ConfigValidationError(msg)
 
 
+def _built(what: str, build, *args):
+    """build(*args), with a library error re-raised as ConfigValidationError
+    prefixed by `what`, the config field it concerns."""
+    try:
+        return build(*args)
+    except GkdvError as exc:
+        raise ConfigValidationError(f"{what}: {exc}") from exc
+
+
 def _check_common(cfg: ExperimentConfig) -> None:
     if cfg.family not in FAMILIES:
         _fail(f"family must be one of {FAMILIES}, got {cfg.family!r}")
@@ -135,65 +126,22 @@ def _check_common(cfg: ExperimentConfig) -> None:
     if unknown:
         _fail(f"unknown {cfg.family} thresholds {sorted(unknown)}; "
               f"known: {sorted(_DEFAULT_THRESHOLDS[cfg.family])}")
-    if cfg.p not in SUPPORTED_P:
-        _fail(f"p must be one of {SUPPORTED_P}, got {cfg.p}")
-    c = np.asarray(cfg.speeds)
-    if c.size == 0 or not np.all(c > 0):
-        _fail(f"speeds must be positive, got {cfg.speeds}")
-    if c.size > 1 and not np.all(np.diff(c) > 0):
-        _fail(f"speeds must be strictly increasing, got {cfg.speeds}")
-    if len(cfg.positions) != c.size:
-        _fail(f"positions ({len(cfg.positions)}) must match speeds ({c.size})")
-    grid = cfg.grid.build()
-
+    _built("p", ModelParams, cfg.p)
+    state = _built("speeds, positions", SolitonState, cfg.speeds, cfg.positions)
+    grid = _built("grid", cfg.grid.build)
     if cfg.family not in STATIC_FAMILIES:
-        if not (cfg.dt > 0):
-            _fail(f"dt must be positive, got {cfg.dt}")
-        bound = dt_stability_bound(grid)
-        if cfg.dt > bound * (1 + 1e-12):
-            _fail(f"dt={cfg.dt:g} exceeds the stability bound {bound:g} at h={grid.spacing:g}")
-        if not (cfg.t_final > 0):
-            _fail(f"t_final must be positive, got {cfg.t_final}")
-        for total, name in ((cfg.t_final, "t_final"), (cfg.cadence, "cadence")):
-            k = round(total / cfg.dt)
-            if k < 1 or abs(k * cfg.dt - total) > 1e-9 * max(1.0, total):
-                _fail(f"{name}={total:g} must be a positive integer multiple of dt={cfg.dt:g}")
-        if abs(round(cfg.t_final / cfg.cadence) * cfg.cadence - cfg.t_final) > 1e-9:
-            _fail(f"t_final={cfg.t_final:g} must be a multiple of cadence={cfg.cadence:g}")
-
-    pert = cfg.perturbation
-    if pert.kind not in PERTURBATION_KINDS:
-        _fail(f"perturbation.kind must be one of {PERTURBATION_KINDS}, got {pert.kind!r}")
-    if pert.kind != "none":
-        if not (pert.amplitude > 0):
-            _fail(f"perturbation.amplitude must be positive, got {pert.amplitude}")
-        if not (pert.width > 0):
-            _fail(f"perturbation.width must be positive, got {pert.width}")
-        if isinstance(pert.location, str):
-            if not pert.location.startswith("gap:"):
-                _fail(f"perturbation.location string must be 'gap:<k>', got {pert.location!r}")
-            try:
-                k = int(pert.location.split(":", 1)[1])
-            except ValueError:
-                _fail(f"perturbation.location gap index not an integer: {pert.location!r}")
-            if not (1 <= k <= c.size - 1):
-                _fail(f"perturbation.location {pert.location!r} needs gap index in 1..{c.size - 1}")
-        if not (0.0 <= pert.kmin < pert.kmax):
-            _fail(f"perturbation band needs 0 <= kmin < kmax, got ({pert.kmin}, {pert.kmax})")
-
-    try:
-        sponge_profile(grid, cfg.sponge)
-        # soliton_sum's seam-tail test, before any work; spectrum and
-        # nsoliton build their fields without soliton_sum
-        if cfg.family not in ("spectrum", "nsoliton"):
-            _check_seam_tails(cfg.p, cfg.speeds, grid)
-    except GkdvError as exc:
-        _fail(str(exc))
+        _built("dt", check_step_size, grid, cfg.dt)
+        _built("t_final, cadence", step_counts, cfg.t_final, cfg.dt, cfg.cadence)
+    _built("perturbation", make_perturbation, cfg.perturbation, grid, state)
+    _built("sponge", sponge_profile, grid, cfg.sponge)
+    # spectrum and nsoliton build their fields without soliton_sum
+    if cfg.family not in ("spectrum", "nsoliton"):
+        _built("grid", _check_seam_tails, cfg.p, cfg.speeds, grid)
 
     if cfg.y0 is not None and not (cfg.y0 > 0):
         _fail(f"y0 must be positive, got {cfg.y0}")
-    if cfg.ref_index is not None and not (0 <= cfg.ref_index < c.size):
-        _fail(f"ref_index {cfg.ref_index} outside 0..{c.size - 1}")
+    if cfg.ref_index is not None and not (0 <= cfg.ref_index < state.n):
+        _fail(f"ref_index {cfg.ref_index} outside 0..{state.n - 1}")
     # a sweep field that the family never reads would be silently ignored
     for name, readers in (("alphas", ("stability", "quadratic-control")),
                           ("sweep_separations", ("monotonicity",))):
@@ -231,17 +179,8 @@ def _check_family(cfg: ExperimentConfig) -> None:
         if n != 2:
             _fail(f"monotonicity: separation sweep is defined for 2 solitons, got {n}")
         _check_sweep(cfg.sweep_separations, "monotonicity")
-        for total, name in ((cfg.identity_t, "identity_t"), (cfg.identity_cadence, "identity_cadence")):
-            if not (total > 0):
-                _fail(f"monotonicity: {name} must be positive, got {total}")
-        k = round(cfg.identity_cadence / cfg.dt)
-        if k < 1 or abs(k * cfg.dt - cfg.identity_cadence) > 1e-12:
-            _fail(f"monotonicity: identity_cadence={cfg.identity_cadence:g} must be a "
-                  f"multiple of dt={cfg.dt:g}")
-        if abs(round(cfg.identity_t / cfg.identity_cadence) * cfg.identity_cadence
-               - cfg.identity_t) > 1e-9:
-            _fail(f"monotonicity: identity_t={cfg.identity_t:g} must be a multiple of "
-                  f"identity_cadence={cfg.identity_cadence:g}")
+        _built("monotonicity: identity run (identity_t, identity_cadence)", step_counts,
+               cfg.identity_t, cfg.dt, cfg.identity_cadence)
     elif cfg.family == "quadratic-control":
         if n < 2:
             _fail("quadratic-control: need at least 2 solitons")

@@ -1,10 +1,13 @@
 """Initial perturbations: compactly supported bump and band-limited noise.
 
 Both are rescaled so their H1 norm equals the requested amplitude exactly,
-which is what every scaling experiment sweeps over.
+which is what every scaling experiment sweeps over. make_perturbation owns
+the rules of a perturbation config; config validation runs it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +15,26 @@ from ..errors import ParameterError
 from ..grid import Field, Grid
 from ..profiles import SolitonState
 from ..solver import h1_norm
-from .config import PerturbationConfig
+
+PERTURBATION_KINDS = ("none", "bump", "noise")
+
+
+@dataclass(frozen=True)
+class PerturbationConfig:
+    """Initial perturbation, rescaled to exact H1 size `amplitude`.
+
+    A bump reads width and location: a float (absolute center) or "gap:<k>"
+    for the center of the gap between solitons k and k+1 (1-based). Noise
+    reads seed, kmin and kmax.
+    """
+
+    kind: str = "none"
+    amplitude: float = 0.0
+    width: float = 5.0
+    location: str | float = "gap:1"
+    seed: int = 0
+    kmin: float = 0.05
+    kmax: float = 1.0
 
 
 def smooth_bump(grid: Grid, center: float, width: float) -> Field:
@@ -46,26 +68,31 @@ def band_noise(grid: Grid, seed: int, kmin: float, kmax: float) -> Field:
 
 
 def _resolve_center(location, state: SolitonState) -> float:
-    if isinstance(location, str):
-        k = int(location.split(":", 1)[1])
-        x = np.sort(state.position_array)
-        if not (1 <= k <= state.n - 1):
-            raise ParameterError(f"gap index {k} outside 1..{state.n - 1}")
-        return 0.5 * (x[k - 1] + x[k])
-    return float(location)
+    if not isinstance(location, str):
+        return float(location)
+    head, _, index = location.partition(":")
+    if head != "gap" or not index.isdecimal():
+        raise ParameterError(f"location must be a number or 'gap:<k>', got {location!r}")
+    k = int(index)
+    if not (1 <= k <= state.n - 1):
+        raise ParameterError(f"location {location!r} needs a gap index in 1..{state.n - 1}")
+    x = np.sort(state.position_array)
+    return 0.5 * (x[k - 1] + x[k])
 
 
 def make_perturbation(cfg: PerturbationConfig, grid: Grid,
                       state: SolitonState) -> Field:
     """Build the configured perturbation with H1 norm exactly cfg.amplitude."""
-    if cfg.kind == "none" or cfg.amplitude == 0.0:
+    if cfg.kind not in PERTURBATION_KINDS:
+        raise ParameterError(f"kind must be one of {PERTURBATION_KINDS}, got {cfg.kind!r}")
+    if cfg.kind == "none":
         return Field(grid, np.zeros(grid.n))
+    if not (cfg.amplitude > 0):
+        raise ParameterError(f"amplitude must be positive, got {cfg.amplitude}")
     if cfg.kind == "bump":
         raw = smooth_bump(grid, _resolve_center(cfg.location, state), cfg.width)
-    elif cfg.kind == "noise":
-        raw = band_noise(grid, cfg.seed, cfg.kmin, cfg.kmax)
     else:
-        raise ParameterError(f"unknown perturbation kind {cfg.kind!r}")
+        raw = band_noise(grid, cfg.seed, cfg.kmin, cfg.kmax)
     nrm = h1_norm(raw)
     if nrm == 0.0:
         raise ParameterError("perturbation is identically zero; cannot normalize")

@@ -535,36 +535,47 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     if not seps:
         return _report(cfg, [_check("max-weighted-mass-increase", None, thr["max_increase"],
                                     detail="every separation failed")], extras=records)
-    p_near = increases[0]
-    p_far = increases[-1]
-    checks = [_check("max-weighted-mass-increase", p_near, thr["max_increase"])]
-    if len(seps) >= 2:
-        checks.append(_check("increase-decays-with-separation", p_far,
-                             max(p_near / thr["ratio_min"], thr["increase_floor"]),
-                             detail=f"near-separation increase {p_near:.3e}"))
+    # the near-separation checks read the smallest configured separation only
+    near = cfg.sweep_separations[0]
+    sigma0 = SolitonState(cfg.speeds, (0.0, near)).sigma0
+    anchor = float(np.exp(-np.sqrt(sigma0) * near / 8.0))
+    if seps[0] != near:
+        named = [("max-weighted-mass-increase", thr["max_increase"]),
+                 ("increase-decays-with-separation", None),
+                 ("increase-bound-constant", thr["bound_constant_max"])]
+        if cfg.y0 is not None:
+            named += [("right-probe-almost-nonincreasing", thr["probe_slack"]),
+                      ("left-probe-almost-nondecreasing", thr["probe_slack"])]
+        k_fit = None
+        checks = [_check(name, None, threshold, detail=f"separation {near:g} failed")
+                  for name, threshold in named]
     else:
-        checks.append(_check("increase-decays-with-separation", None, None,
-                             detail="failed limbs prevent the separation sweep"))
-    sigma0 = SolitonState(cfg.speeds, (0.0, seps[0])).sigma0
-    anchor = float(np.exp(-np.sqrt(sigma0) * seps[0] / 8.0))
-    k_fit = p_near / anchor
-    checks.append(_check("increase-bound-constant", k_fit, thr["bound_constant_max"],
-                         detail=f"increase {p_near:.3e} against tail anchor {anchor:.3e}"))
+        p_near, p_far = increases[0], increases[-1]
+        checks = [_check("max-weighted-mass-increase", p_near, thr["max_increase"])]
+        if len(seps) >= 2:
+            checks.append(_check("increase-decays-with-separation", p_far,
+                                 max(p_near / thr["ratio_min"], thr["increase_floor"]),
+                                 detail=f"near-separation increase {p_near:.3e}"))
+        else:
+            checks.append(_check("increase-decays-with-separation", None, None,
+                                 detail="failed limbs prevent the separation sweep"))
+        k_fit = p_near / anchor
+        checks.append(_check("increase-bound-constant", k_fit, thr["bound_constant_max"],
+                             detail=f"increase {p_near:.3e} against tail anchor {anchor:.3e}"))
 
-    # edge probes around the reference soliton: almost nonincreasing on the
-    # right, almost nondecreasing on the left
-    if cfg.y0 is not None:
-        jl, jr = limbs[0][1].column("j_left"), limbs[0][1].column("j_right")
-        fin = np.isfinite(jl) & np.isfinite(jr)
-        checks.append(_check("right-probe-almost-nonincreasing",
-                             float(np.max(jr[fin] - jr[fin][0])), thr["probe_slack"]))
-        checks.append(_check("left-probe-almost-nondecreasing",
-                             float(np.max(jl[fin][0] - jl[fin])), thr["probe_slack"]))
+        # edge probes around the reference soliton: almost nonincreasing on
+        # the right, almost nondecreasing on the left
+        if cfg.y0 is not None:
+            jl, jr = limbs[0][1].column("j_left"), limbs[0][1].column("j_right")
+            fin = np.isfinite(jl) & np.isfinite(jr)
+            checks.append(_check("right-probe-almost-nonincreasing",
+                                 float(np.max(jr[fin] - jr[fin][0])), thr["probe_slack"]))
+            checks.append(_check("left-probe-almost-nondecreasing",
+                                 float(np.max(jl[fin][0] - jl[fin])), thr["probe_slack"]))
 
     # fine-cadence identity verification at the smallest separation
     ident_cfg = cfg.with_updates(t_final=cfg.identity_t, cadence=cfg.identity_cadence)
-    state = SolitonState(ident_cfg.speeds,
-                         (-0.5 * cfg.sweep_separations[0], 0.5 * cfg.sweep_separations[0]))
+    state = SolitonState(ident_cfg.speeds, (-0.5 * near, 0.5 * near))
     u0 = _initial_field(ident_cfg, params, grid, state)
     tight_tol = 1e-13 * l2_norm(u0)
     collector = DiagnosticsCollector(params, state, tol=tight_tol)

@@ -8,7 +8,7 @@ classical RK4. The nonlinear product is dealiased with the 2/3 rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,19 @@ _BLOWUP_CHECK_EVERY = 25  # steps between finite-value checks in the hot loop
 def dt_stability_bound(grid: Grid) -> float:
     """Largest admissible time step for the grid, C_STAB * spacing^3."""
     return C_STAB * grid.spacing**3
+
+
+def check_step_size(grid: Grid, dt: float) -> None:
+    """The step-size gate, applied by Stepper and by config validation:
+    ParameterError unless dt is positive and finite, StepSizeError above
+    dt_stability_bound(grid)."""
+    if not (dt > 0) or not math.isfinite(dt):
+        raise ParameterError(f"dt must be positive and finite, got {dt}")
+    bound = dt_stability_bound(grid)
+    if dt > bound * (1.0 + 1e-12):
+        raise StepSizeError(
+            f"dt={dt:g} exceeds the stability gate {bound:g} = C_STAB*spacing^3 for n={grid.n}, "
+            f"length={grid.length:g}")
 
 
 def _int_power(v: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -120,13 +133,7 @@ class Stepper:
 
     def __init__(self, grid: Grid, dt: float, params: ModelParams,
                  sponge: SpongeSettings | None = None):
-        if not (dt > 0) or not math.isfinite(dt):
-            raise ParameterError(f"dt must be positive and finite, got {dt}")
-        bound = dt_stability_bound(grid)
-        if dt > bound * (1.0 + 1e-12):
-            raise StepSizeError(
-                f"dt={dt:g} exceeds the stability gate {bound:g} = C_STAB*spacing^3 for n={grid.n}, "
-                f"length={grid.length:g}")
+        check_step_size(grid, dt)
         self.grid = grid
         self.dt = float(dt)
         self.p = params.p
@@ -212,11 +219,23 @@ class Trajectory:
         return float(np.max(dm)), float(np.max(de))
 
 
-def _steps_for(total: float, dt: float, what: str) -> int:
-    n = int(round(total / dt))
-    if n < 1 or abs(n * dt - total) > 1e-9 * max(1.0, abs(total)):
-        raise ParameterError(f"{what}={total:g} must be a positive integer multiple of dt={dt:g}")
-    return n
+def step_counts(t_final: float, dt: float, cadence: float | None = None) -> tuple[int, int]:
+    """Steps to t_final and steps between snapshots, as evolve takes them and
+    config validation checks them. t_final and cadence (dt when None) must be
+    positive integer multiples of dt to 1e-9 relative, and t_final a multiple
+    of cadence; ParameterError otherwise."""
+    cadence = dt if cadence is None else cadence
+    counts = []
+    for total, what in ((t_final, "t_final"), (cadence, "cadence")):
+        n = round(total / dt) if dt > 0 and math.isfinite(total / dt) else 0
+        if n < 1 or abs(n * dt - total) > 1e-9 * max(1.0, abs(total)):
+            raise ParameterError(f"{what}={total:g} must be a positive integer multiple of dt={dt:g}")
+        counts.append(n)
+    n_steps, every = counts
+    if n_steps % every != 0:
+        raise ParameterError(f"t_final={t_final:g} must be a multiple of cadence={cadence:g} "
+                             f"(t_final/dt={n_steps}, cadence/dt={every})")
+    return n_steps, every
 
 
 def evolve(u0: Field | list, t_final: float, params: ModelParams, dt: float,
@@ -241,11 +260,7 @@ def evolve(u0: Field | list, t_final: float, params: ModelParams, dt: float,
     observers = [observer] if single else list(observer or [None] * len(starts))
     if len(observers) != len(starts):
         raise ParameterError(f"{len(observers)} observers for {len(starts)} fields")
-    n_steps = _steps_for(t_final, dt, "t_final")
-    cadence = dt if cadence is None else cadence
-    every = _steps_for(cadence, dt, "cadence")
-    if n_steps % every != 0:
-        raise ParameterError(f"t_final/dt={n_steps} must be a multiple of cadence/dt={every}")
+    n_steps, every = step_counts(t_final, dt, cadence)
     if not starts:
         return []
     grid = starts[0].grid

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from gkdv import (ConfigValidationError, DecompositionFailureError, Field,
-                  Grid, ParameterError, read_snapshots)
+                  Grid, ModelParams, ParameterError, StepSizeError, Stepper,
+                  dt_stability_bound, read_snapshots)
 from gkdv import modulation as modulation_mod
 from gkdv import solver as solver_mod
 from gkdv.harness import runs as runs_mod
@@ -140,6 +141,70 @@ def test_config_rejects_a_seam_tail_before_any_work():
     with pytest.raises(ConfigValidationError, match="periodic seam"):
         preset("single-soliton").with_updates(grid=small, t_final=1.0)
     preset("single-soliton").with_updates(grid=GridConfig(512, 50.0, -25.0), t_final=1.0)
+
+
+# configs that used to validate and then fail inside execute(): the first
+# two in SolitonState, the others in make_perturbation, and the stability
+# sweep only after evolving its alpha = 0 limb, as a failed experiment
+_NOISE_WITHOUT_MODES = {"kind": "noise", "amplitude": 1e-3, "kmin": 0.0, "kmax": 0.01}
+_SMALL_GRID = {"n": 512, "length": 64.0, "x0": -32.0}
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"family": "simulate", "positions": [float("nan")]}, "speeds, positions"),
+    ({"family": "simulate", "speeds": [float("inf")]}, "speeds, positions"),
+    ({"family": "simulate", "speeds": [1.0, 2.0], "positions": [-15.0, 15.0],
+      "grid": _SMALL_GRID, "perturbation": _NOISE_WITHOUT_MODES}, "perturbation"),
+    ({"family": "simulate", "grid": {"n": 1024, "length": 128.0, "x0": -64.0},
+      "perturbation": {"kind": "bump", "amplitude": 1e-3, "width": 0.01,
+                       "location": 0.0625}},          # between two grid points
+     "perturbation"),
+    ({"family": "stability", "speeds": [1.0, 2.0], "positions": [-15.0, 15.0],
+      "grid": _SMALL_GRID, "dt": 1e-3, "t_final": 1.0, "alphas": [0.0, 1e-3, 1e-2],
+      "perturbation": _NOISE_WITHOUT_MODES}, "perturbation"),
+], ids=["nan-position", "inf-speed", "empty-noise-band", "bump-between-points",
+        "stability-empty-noise-band"])
+def test_config_rejects_what_execute_would_fail_on(data, field, tmp_path, monkeypatch):
+    with pytest.raises(ConfigValidationError, match=f"^{field}: "):
+        config_from_dict(data)
+    steps = []
+    monkeypatch.setattr(solver_mod.Stepper, "step_hat",
+                        lambda self, uhat: steps.append(uhat) or uhat)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main([data["family"], "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert steps == []
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_noise_on_one_soliton_validates_and_runs(tmp_path):
+    # the noise builder never reads location, so its default "gap:1" is no
+    # reason to reject a single soliton
+    cfg = _cfg(grid=GridConfig(1024, 128.0, -64.0), dt=1e-3, t_final=0.5,
+               perturbation=PerturbationConfig(kind="noise", amplitude=1e-4,
+                                               kmin=0.2, kmax=1.0))
+    assert cfg.perturbation.location == "gap:1"
+    report = execute(cfg, tmp_path)
+    assert report.passed
+    assert (tmp_path / "series.csv").exists()
+
+
+def test_validation_and_stepper_share_one_step_size_gate():
+    grid = Grid(1024, 128.0, -64.0)
+    bound = dt_stability_bound(grid)
+
+    def config(dt):
+        return _cfg(grid=GridConfig(1024, 128.0, -64.0), dt=dt, t_final=256 * dt,
+                    cadence=64 * dt)
+
+    config(bound)
+    Stepper(grid, bound, ModelParams(2))
+    over = bound * (1 + 1e-9)
+    with pytest.raises(StepSizeError) as stepper_err:
+        Stepper(grid, over, ModelParams(2))
+    with pytest.raises(ConfigValidationError) as config_err:
+        config(over)
+    assert str(config_err.value) == f"dt: {stepper_err.value}"
 
 
 def test_with_updates_revalidates():
@@ -277,6 +342,20 @@ def test_make_perturbation_centering():
     with pytest.raises(ParameterError):
         make_perturbation(PerturbationConfig(kind="bump", amplitude=1e-2,
                                              location="gap:3"), grid, state)
+
+
+def test_make_perturbation_owns_the_perturbation_rules():
+    # config validation runs these; a malformed location used to escape as an
+    # IndexError, and the kind and amplitude rules lived only in validation
+    grid = Grid(1024, 128.0, -64.0)
+    state = SolitonState((1.0, 2.0), (-20.0, 30.0))
+    for kw, match in ((dict(kind="wiggle", amplitude=1e-2), "kind must be one of"),
+                      (dict(kind="bump", amplitude=0.0), "amplitude must be positive"),
+                      (dict(kind="noise", amplitude=-1e-2), "amplitude must be positive"),
+                      (dict(kind="bump", amplitude=1e-2, location="mid"), "gap:<k>"),
+                      (dict(kind="bump", amplitude=1e-2, location="gap:x"), "gap:<k>")):
+        with pytest.raises(ParameterError, match=match):
+            make_perturbation(PerturbationConfig(**kw), grid, state)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +600,40 @@ def test_sweep_reports_tracker_failures(tmp_path, monkeypatch, small_stability_c
     cm = {c.name: c for c in report.checks}
     assert not cm["baseline-distance"].passed
     assert cm["baseline-distance"].detail == "unperturbed limb failed"
+
+
+def test_monotonicity_checks_read_the_nearest_configured_separation(tmp_path, monkeypatch):
+    # unbroken, this sweep fails max-weighted-mass-increase at separation 40
+    # (2.8e-3 against 1e-3); the fourth solve, the 40 limb's at t = 0.25,
+    # fails, and its checks must not pass on separation 60's 5.9e-5 instead
+    cfg = preset("mass-monotonicity").with_updates(
+        grid=GridConfig(2048, 512.0, -256.0), positions=(-20.0, 20.0),
+        sweep_separations=(40.0, 60.0, 80.0), dt=1e-3, t_final=2.0, cadence=0.25,
+        identity_t=0.3, identity_cadence=0.003)
+    real = modulation_mod.decompose
+    calls = []
+
+    def failing_fourth(u, guess, params, **kwargs):
+        calls.append(guess)
+        if len(calls) == 4:
+            raise DecompositionFailureError("injected at the fourth solve")
+        return real(u, guess, params, **kwargs)
+
+    monkeypatch.setattr(modulation_mod, "decompose", failing_fourth)
+    report = execute(cfg, tmp_path)
+    assert not report.passed
+    assert report.extras["separations"] == [60.0, 80.0]
+    assert report.extras["failures"] == [
+        {"separation": 40.0, "t_failed": 0.25,
+         "error": "DecompositionFailureError: injected at the fourth solve"}]
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [
+        "max-weighted-mass-increase", "increase-decays-with-separation",
+        "increase-bound-constant", "right-probe-almost-nonincreasing",
+        "left-probe-almost-nondecreasing"]
+    for c in failed:
+        assert c.value is None and c.detail == "separation 40 failed"
+    assert report.extras["bound_constant"] is None
 
 
 def test_check_compares_the_reported_value():

@@ -1,6 +1,8 @@
 """Pseudospectral stepping: exactness, gates, conservation, convergence."""
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from gkdv import (BlowupError, Field, Grid, ModelParams, ParameterError,
                   kdv_nsoliton_profile, l2_norm, l2_norm_right_of,
                   read_snapshots, soliton_sum, sponge_profile, write_snapshots)
 from gkdv.solver import C_STAB, _int_power
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from convergence_study import temporal_errors  # noqa: E402
 
 P2 = ModelParams(2)
 
@@ -112,6 +117,8 @@ def test_evolve_validation_and_snapshots():
         evolve(z, 0.1, P2, 1e-3, cadence=0.0005)      # cadence below dt
     with pytest.raises(ParameterError):
         evolve(z, 0.1, P2, 1e-3, cadence=0.03)        # horizon not on cadence lattice
+    with pytest.raises(ParameterError):
+        evolve(z, 0.1, P2, 0.0)                       # no lattice; was a ZeroDivisionError
     seen = []
     traj = evolve(z, 0.1, P2, 1e-3, cadence=0.02, observer=lambda t, u: seen.append(t))
     assert np.allclose(traj.times, np.arange(6) * 0.02)
@@ -293,15 +300,9 @@ def test_reflection_symmetry():
 def soliton_dt_errors():
     # single soliton fast enough for the time-integration error to clear the
     # roundoff floor by orders of magnitude (errors ~1e-4..1e-7)
-    grid = Grid(2048, 128.0, -64.0)
-    c, T = 8.0, 10.0
-    u0 = Field(grid, eval_Qc(2, c, grid.x + 30.0))
-    exact = eval_Qc(2, c, grid.x + 30.0 - c * T)
-    errs = {}
-    for dt in (4e-4, 2e-4, 1e-4):
-        traj = evolve(u0, T, P2, dt, cadence=T)
-        errs[dt] = l2_norm(Field(grid, traj.fields[-1].values - exact))
-    return errs
+    dts = (4e-4, 2e-4, 1e-4)
+    errs = temporal_errors(P2, Grid(2048, 128.0, -64.0), 8.0, 10.0, dts, x_start=-30.0)
+    return dict(zip(dts, errs))
 
 
 def _fit_slope(errs):
