@@ -15,7 +15,7 @@ from .errors import (BlowupError, ConfigValidationError,
 from .functionals import (LocalizedMassRecord, PsiWeight, SpectrumResult,
                           constrained_spectrum, energy_expansion_residual,
                           linearized_energy_form, localized_mass_rate_terms,
-                          localized_masses, midpoints, speed_ramp, weight_for,
+                          localized_masses, midpoints, speed_ramp,
                           write_spectral_certificate)
 from .grid import Field, Grid
 from .modulation import (Decomposition, ModulationTracker, decompose,
@@ -38,7 +38,7 @@ __all__ = [
     "LocalizedMassRecord", "PsiWeight", "SpectrumResult",
     "constrained_spectrum", "energy_expansion_residual",
     "linearized_energy_form", "localized_mass_rate_terms", "localized_masses",
-    "midpoints", "speed_ramp", "weight_for", "write_spectral_certificate",
+    "midpoints", "speed_ramp", "write_spectral_certificate",
     "Field", "Grid",
     "Decomposition", "ModulationTracker", "decompose", "initial_guess",
     "ortho_jacobian", "ortho_residual",

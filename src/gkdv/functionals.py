@@ -107,14 +107,6 @@ class PsiWeight:
         return np.where(x < 0, tail, 1.0 - tail)
 
 
-def _state_of(dec_or_state) -> SolitonState:
-    return dec_or_state.state if isinstance(dec_or_state, Decomposition) else dec_or_state
-
-
-def weight_for(dec_or_state, params: ModelParams) -> PsiWeight:
-    return PsiWeight(params.p, _state_of(dec_or_state).sigma0)
-
-
 # ---------------------------------------------------------------------------
 # localized masses
 
@@ -149,10 +141,9 @@ class LocalizedMassRecord:
     ref_index: int | None
 
 
-def localized_masses(t: float, u: Field, dec_or_state, w: PsiWeight,
+def localized_masses(t: float, u: Field, state: SolitonState, w: PsiWeight,
                      params: ModelParams, y0: float | None = None,
                      ref_index: int | None = None) -> LocalizedMassRecord:
-    state = _state_of(dec_or_state)
     x = _require_sorted_positions(state)
     h = u.grid.spacing
     u2 = u.values**2
@@ -195,17 +186,8 @@ def localized_mass_rate_terms(u: Field, m: float, w: PsiWeight,
 # ---------------------------------------------------------------------------
 # quadratic form and its constrained spectrum
 
-def _basis_of(dec_or_state, params: ModelParams, grid: Grid) -> SolitonBasis:
-    """A decomposition's own basis when it fits params and grid, else a new one."""
-    basis = getattr(dec_or_state, "basis", None)
-    if basis is None or basis.params != params or basis.grid != grid:
-        basis = SolitonBasis(params, _state_of(dec_or_state), grid)
-    return basis
-
-
-def speed_ramp(dec_or_state, w: PsiWeight, grid: Grid) -> np.ndarray:
+def speed_ramp(state: SolitonState, w: PsiWeight, grid: Grid) -> np.ndarray:
     """c(x) = c_1 + sum_{j>=2} (c_j - c_{j-1}) psi(x - m_j), on raw coordinates."""
-    state = _state_of(dec_or_state)
     _require_sorted_positions(state)
     c = state.speed_array
     out = np.full(grid.n, c[0])
@@ -214,13 +196,12 @@ def speed_ramp(dec_or_state, w: PsiWeight, grid: Grid) -> np.ndarray:
     return out
 
 
-def linearized_energy_form(eps: Field, dec_or_state, params: ModelParams) -> float:
-    """int eps_x^2 - p R^(p-1) eps^2 (no speed ramp), the energy Hessian term."""
-    grid = eps.grid
-    R = _basis_of(dec_or_state, params, grid).total
+def linearized_energy_form(eps: Field, basis: SolitonBasis) -> float:
+    """int eps_x^2 - p R^(p-1) eps^2 (no speed ramp), the energy Hessian term,
+    with R the basis's soliton sum on eps's grid."""
+    p = basis.params.p
     ex = eps.dx
-    h = grid.spacing
-    return h * float(np.sum(ex * ex - params.p * R ** (params.p - 1) * eps.values**2))
+    return eps.grid.spacing * float(np.sum(ex * ex - p * basis.total ** (p - 1) * eps.values**2))
 
 
 @dataclass
@@ -233,7 +214,7 @@ class SpectrumResult:
     constraint_residuals: dict | None  # max |h<v, Q_{c_j}>|, max |h<v, d_x Q_{c_j}>|
 
 
-def constrained_spectrum(dec_or_state, w: PsiWeight, params: ModelParams,
+def constrained_spectrum(state: SolitonState, w: PsiWeight, params: ModelParams,
                          grid: Grid, constrained: bool = True) -> SpectrumResult:
     """Smallest eigenvalue of H = -d2/dx2 - p R^(p-1) + c(x) relative to the H1
     inner product, optionally restricted to the orthocomplement of every
@@ -244,13 +225,12 @@ def constrained_spectrum(dec_or_state, w: PsiWeight, params: ModelParams,
     Q an orthonormal basis of S C for the constraint columns C, P = I - Q Q^T;
     sigma = 1 + max|V| >= ||A|| lifts span(Q) to the top of the spectrum.
     """
-    state = _state_of(dec_or_state)
     _require_sorted_positions(state)
     n = grid.n
     k2 = grid.wavenumbers**2
     k2[-1] = 0.0  # Nyquist; grid sizes are even
     s_hat = 1.0 / np.sqrt(1.0 + k2)
-    basis = _basis_of(dec_or_state, params, grid)
+    basis = SolitonBasis(params, state, grid)
     V = -params.p * basis.total ** (params.p - 1) + speed_ramp(state, w, grid)
     sigma = 1.0 + float(np.max(np.abs(V)))
     Q = np.zeros((n, 0))
@@ -292,11 +272,10 @@ def constrained_spectrum(dec_or_state, w: PsiWeight, params: ModelParams,
     return SpectrumResult(lam, Field(grid, vec), constrained, eigen_residual, matvecs, overlaps)
 
 
-def write_spectral_certificate(path, result: SpectrumResult, dec_or_state,
+def write_spectral_certificate(path, result: SpectrumResult, state: SolitonState,
                                params: ModelParams, grid: Grid,
                                tolerance: float) -> None:
     """JSON record of one positivity certificate."""
-    state = _state_of(dec_or_state)
     seps = list(np.diff(state.position_array)) if state.n > 1 else []
     payload = {
         "p": params.p,
@@ -319,20 +298,19 @@ def write_spectral_certificate(path, result: SpectrumResult, dec_or_state,
 # ---------------------------------------------------------------------------
 # linearized energy bookkeeping
 
-def energy_expansion_residual(u: Field, dec: Decomposition, ref,
+def energy_expansion_residual(u: Field, dec: Decomposition, ref_state: SolitonState,
                               params: ModelParams) -> float:
-    """Drift of the soliton energies plus half the energy Hessian of eps.
+    """Drift of the soliton energies from ref_state plus half the energy
+    Hessian of eps, for dec the decomposition of u.
 
     Under exact evolution the total energy is conserved, so this combination
     is controlled by |eps(0)|^2, |eps(t)|^3 and the interaction tail; it is
     the quantity whose smallness certifies the energy linearization.
     """
-    ref_state = _state_of(ref)
     state = dec.state
     if state.n != ref_state.n:
         raise ParameterError("reference state must have the same number of solitons")
     drift = sum(soliton_energy(params.p, ct) - soliton_energy(params.p, c0)
                 for ct, c0 in zip(state.speeds, ref_state.speeds))
-    basis = _basis_of(dec, params, u.grid)
-    eps = Field(u.grid, u.values - basis.total)
-    return float(drift + 0.5 * linearized_energy_form(eps, dec, params))
+    eps = Field(u.grid, u.values - dec.basis.total)
+    return float(drift + 0.5 * linearized_energy_form(eps, dec.basis))

@@ -142,11 +142,14 @@ def _check_common(cfg: ExperimentConfig) -> None:
         _fail(f"y0 must be positive, got {cfg.y0}")
     if cfg.ref_index is not None and not (0 <= cfg.ref_index < state.n):
         _fail(f"ref_index {cfg.ref_index} outside 0..{state.n - 1}")
-    # a sweep field that the family never reads would be silently ignored
+    # a field that the family never reads would be silently ignored
     for name, readers in (("alphas", ("stability", "quadratic-control")),
-                          ("sweep_separations", ("monotonicity",))):
+                          ("sweep_separations", ("monotonicity",)),
+                          ("y0", ("simulate", "monotonicity", "asymptotic"))):
         if getattr(cfg, name) and cfg.family not in readers:
             _fail(f"{name} is read only by {' and '.join(readers)}, not by {cfg.family}")
+    if cfg.ref_index is not None and cfg.y0 is None:
+        _fail("ref_index is read only together with y0")
 
 
 def _check_family(cfg: ExperimentConfig) -> None:

@@ -16,12 +16,12 @@ from conftest import check_map, record_criterion
 from gkdv import (
     Grid,
     ModelParams,
+    PsiWeight,
     SolitonState,
     constrained_spectrum,
     ortho_jacobian,
     profile_mass_constant,
     soliton_sum,
-    weight_for,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -99,7 +99,7 @@ def test_criterion_4_quadratic_form_positivity():
             cases.append(SolitonState((1.0, 2.0), (-sep / 2, sep / 2)))
             cases.append(SolitonState((1.0, 2.0, 3.0), (-sep, 0.0, sep)))
         for st in cases:
-            w = weight_for(st, params)
+            w = PsiWeight(params.p, st.sigma0)
             lc = constrained_spectrum(st, w, params, grid).lambda_min
             lu = constrained_spectrum(st, w, params, grid,
                                       constrained=False).lambda_min

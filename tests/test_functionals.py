@@ -16,8 +16,8 @@ from gkdv import (Field, Grid, ModelParams, ParameterError, PsiWeight,
                   energy_expansion_residual, eval_Qc, evolve, h1_norm, l2_norm,
                   linearized_energy_form, localized_mass_rate_terms,
                   localized_masses, midpoints, soliton_sum, speed_ramp,
-                  weight_for, write_spectral_certificate)
-from gkdv.profiles import _sech
+                  write_spectral_certificate)
+from gkdv.profiles import SolitonBasis, _sech
 from psi_quadrature import psi_numeric
 from quadratic_form import bilinear_form
 
@@ -155,13 +155,6 @@ def test_psi_damping_slack(p, s0):
     assert abs(ratio - 0.25 * s0) < 1e-5
 
 
-def test_weight_for():
-    st = SolitonState((0.25, 0.75), (-10.0, 10.0))
-    built = weight_for(st, P2)
-    assert built.p == 2
-    assert built.sigma0 == 0.125
-
-
 # ---------------------------------------------------------------------------
 # localized masses
 
@@ -177,7 +170,7 @@ def test_localized_masses_two_solitons():
     grid = Grid(4096, 512.0, -256.0)
     st = SolitonState((1.0, 2.2), (-40.0, 40.0))
     u = soliton_sum(P2, st, grid)
-    w = weight_for(st, P2)
+    w = PsiWeight(P2.p, st.sigma0)
     rec = localized_masses(0.0, u, st, w, P2, y0=25.0, ref_index=1)
     assert rec.midpoints.shape == (1,)
     assert rec.midpoints[0] == 0.0
@@ -201,7 +194,7 @@ def test_localized_masses_validation():
     grid = Grid(1024, 256.0, -128.0)
     st = SolitonState((1.0, 2.0), (-30.0, 30.0))
     u = soliton_sum(P2, st, grid)
-    w = weight_for(st, P2)
+    w = PsiWeight(P2.p, st.sigma0)
     with pytest.raises(ParameterError):
         localized_masses(0.0, u, st, w, P2, y0=-5.0, ref_index=1)
     with pytest.raises(ParameterError):
@@ -217,7 +210,7 @@ def test_localized_mass_rate_identity():
     st = SolitonState((1.0, 2.2), (-20.0, 15.0))
     u0 = soliton_sum(P2, st, grid)
     u0 = Field(grid, u0.values + 1e-2 * np.exp(-((grid.x - 2.0) / 3.0)**2))
-    w = weight_for(st, P2)
+    w = PsiWeight(P2.p, st.sigma0)
     dt = 1e-3
     traj = evolve(u0, 0.2, P2, dt, cadence=dt)
     m_fix = -2.5
@@ -236,7 +229,7 @@ def test_localized_mass_rate_identity():
 def test_speed_ramp_plateaus():
     grid = Grid(2048, 256.0, -128.0)
     st = SolitonState((1.0, 2.2, 3.0), (-60.0, 0.0, 60.0))
-    ramp = speed_ramp(st, weight_for(st, P2), grid)
+    ramp = speed_ramp(st, PsiWeight(P2.p, st.sigma0), grid)
     assert abs(ramp[0] - 1.0) < 1e-12
     assert abs(ramp[-1] - 3.0) < 1e-12
     for xj, cj in zip(st.positions, st.speeds):
@@ -248,7 +241,7 @@ def test_speed_ramp_plateaus():
 def test_bilinear_symmetry_and_linearity():
     grid = Grid(1024, 256.0, -128.0)
     st = SolitonState((1.0, 2.0), (-30.0, 30.0))
-    w = weight_for(st, P2)
+    w = PsiWeight(P2.p, st.sigma0)
     rng = np.random.default_rng(7)
     f = Field(grid, np.fft.irfft(np.fft.rfft(rng.standard_normal(grid.n))[:40], grid.n))
     g = Field(grid, np.exp(-((grid.x - 10.0) / 5.0)**2))
@@ -266,7 +259,7 @@ def test_quadratic_form_annihilates_translation_mode():
     # kernel of the operator behind the form
     grid = Grid(2048, 256.0, -128.0)
     st = SolitonState((1.3,), (5.0,))
-    w = weight_for(st, P2)
+    w = PsiWeight(P2.p, st.sigma0)
     kv = Field(grid, eval_Qc(2, 1.3, grid.wrap(grid.x - 5.0), 1))
     assert abs(bilinear_form(kv, kv, st, w, P2)) < 1e-10 * l2_norm(kv)**2
 
@@ -278,7 +271,7 @@ def test_quadratic_form_annihilates_translation_mode():
 def spectrum_pair():
     grid = Grid(512, 128.0, -64.0)
     st = SolitonState((1.0, 2.0), (-20.0, 20.0))
-    w = weight_for(st, P2)
+    w = PsiWeight(P2.p, st.sigma0)
     res_c = constrained_spectrum(st, w, P2, grid)
     res_u = constrained_spectrum(st, w, P2, grid, constrained=False)
     return grid, st, w, res_c, res_u
@@ -339,7 +332,7 @@ def test_spectrum_matches_dense_oracle(p, n_sol, constrained):
     grid = Grid(1024, 256.0, -128.0)
     params = ModelParams(p)
     st = _ORACLE_STATES[n_sol]
-    w = weight_for(st, params)
+    w = PsiWeight(params.p, st.sigma0)
     res = constrained_spectrum(st, w, params, grid, constrained=constrained)
     lam, vec = dense_constrained_spectrum(st, w, params, grid, constrained=constrained)
     assert abs(res.lambda_min - lam) <= 1e-10
@@ -357,7 +350,7 @@ def test_spectrum_failure_names_its_state(monkeypatch):
     grid = Grid(512, 128.0, -64.0)
     st = SolitonState((1.0, 2.0), (-20.0, 20.0))
     with pytest.raises(SpectralFailureError) as info:
-        constrained_spectrum(st, weight_for(st, P2), P2, grid)
+        constrained_spectrum(st, PsiWeight(P2.p, st.sigma0), P2, grid)
     msg = str(info.value)
     for part in ("n=512", "p=2", "N=2", "constrained=True", "best residual reached"):
         assert part in msg
@@ -368,7 +361,7 @@ def test_spectrum_five_solitons_at_n8192():
     grid = Grid(8192, 256.0, -128.0)
     params = ModelParams(3)
     st = SolitonState((1.0, 2.0, 3.0, 4.0, 5.0), (-40.0, -20.0, 0.0, 20.0, 40.0))
-    w = weight_for(st, params)
+    w = PsiWeight(params.p, st.sigma0)
     t0 = time.monotonic()
     lam_c = constrained_spectrum(st, w, params, grid).lambda_min
     lam_u = constrained_spectrum(st, w, params, grid, constrained=False).lambda_min
@@ -383,7 +376,7 @@ def test_spectrum_single_soliton_ground_state_at_n8192(p):
     grid = Grid(8192, 256.0, -128.0)
     params = ModelParams(p)
     st = SolitonState((1.0,), (0.0,))
-    res = constrained_spectrum(st, weight_for(st, params), params, grid, constrained=False)
+    res = constrained_spectrum(st, PsiWeight(params.p, st.sigma0), params, grid, constrained=False)
     assert abs(res.lambda_min - (1.0 - p)) <= 1e-12
 
 
@@ -396,7 +389,7 @@ def test_energy_residual_matches_hessian_on_clean_direction(spectrum_pair):
     grid, st, w, res_c, _ = spectrum_pair
     v = res_c.eigenvector
     R = soliton_sum(P2, st, grid)
-    half_hess = 0.5 * linearized_energy_form(v, st, P2)
+    half_hess = 0.5 * linearized_energy_form(v, SolitonBasis(P2, st, grid))
     for alpha in (1e-3, 3e-3, 1e-2):
         u = Field(grid, R.values + alpha * v.values)
         dec = decompose(u, st, P2)

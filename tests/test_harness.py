@@ -9,13 +9,13 @@ import pytest
 
 from gkdv import (ConfigValidationError, DecompositionFailureError, Field,
                   Grid, ModelParams, ParameterError, StepSizeError, Stepper,
-                  dt_stability_bound, read_snapshots)
+                  dt_stability_bound, evolve, read_snapshots, soliton_sum)
 from gkdv import modulation as modulation_mod
 from gkdv import solver as solver_mod
 from gkdv.harness import runs as runs_mod
 from gkdv.harness.cli import _FAMILY_PRESET, build_parser, main
 from gkdv.harness.config import (ExperimentConfig, GridConfig,
-                                 PerturbationConfig, SpongeSettings,
+                                 PerturbationConfig, SpongeSettings, TrackSettings,
                                  config_from_dict, config_to_dict, load_config,
                                  preset, preset_names, save_config)
 from gkdv.harness.perturbations import (band_noise, make_perturbation,
@@ -121,6 +121,14 @@ def test_config_rejects_sweep_fields_the_family_ignores():
         preset("mass-monotonicity").with_updates(alphas=(1e-3, 1e-2))
     with pytest.raises(ConfigValidationError, match="alphas"):
         _cfg(alphas=(1e-3, 1e-2))
+    # y0 and ref_index feed the edge probes of simulate, monotonicity and
+    # asymptotic only, and ref_index only together with y0
+    for name in ("stability-bound", "drift-scaling", "newton-recovery", "positivity",
+                 "tau-collision"):
+        with pytest.raises(ConfigValidationError, match="y0 is read only by"):
+            preset(name).with_updates(y0=25.0, ref_index=0)
+    with pytest.raises(ConfigValidationError, match="ref_index"):
+        _cfg(ref_index=0)
     for name in preset_names():
         preset(name)
 
@@ -545,9 +553,9 @@ def test_stability_sweep_isolates_failed_limb(tmp_path, monkeypatch,
     # the alpha = 3e-3 limb starts 300 times too large and really blows up
     real_initial_field = runs_mod._initial_field
 
-    def oversized(cfg, *args):
-        u0 = real_initial_field(cfg, *args)
-        if cfg.perturbation.amplitude == 3e-3:
+    def oversized(perturbation, *args):
+        u0 = real_initial_field(perturbation, *args)
+        if perturbation.amplitude == 3e-3:
             return Field(u0.grid, 300.0 * u0.values)
         return u0
 
@@ -634,6 +642,112 @@ def test_monotonicity_checks_read_the_nearest_configured_separation(tmp_path, mo
     for c in failed:
         assert c.value is None and c.detail == "separation 40 failed"
     assert report.extras["bound_constant"] is None
+
+
+def _strict_json(path):
+    """report.json parsed with NaN and Infinity refused."""
+    def refuse(token):
+        raise ValueError(f"{path} holds the non-JSON constant {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def _failing_solve(monkeypatch, k):
+    """Make the k-th decompose call raise DecompositionFailureError."""
+    real, calls = modulation_mod.decompose, []
+
+    def failing(u, guess, params, **kwargs):
+        calls.append(guess)
+        if len(calls) == k:
+            raise DecompositionFailureError(f"injected at solve {k}")
+        return real(u, guess, params, **kwargs)
+
+    monkeypatch.setattr(modulation_mod, "decompose", failing)
+
+
+def _series(path):
+    header = Path(path).read_text().splitlines()[0].split(",")
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return {name: table[:, i] for i, name in enumerate(header)}
+
+
+def test_series_status_says_why_a_snapshot_is_empty(tmp_path, monkeypatch, small_sim_cfg):
+    cfg = small_sim_cfg.with_updates(write_snapshots=False)
+    execute(cfg, tmp_path / "clean")
+    assert list(_series(tmp_path / "clean" / "series.csv")["status"]) == [0, 0, 0, 0, 0]
+    # the fast soliton closes on the slow one at rate 1 from a gap of 40, so
+    # the predicted gap falls below l_min = 39 from t = 1.5 on
+    closing = cfg.with_updates(speeds=(1.0, 2.0), positions=(10.0, -30.0),
+                               track=TrackSettings(l_min=39.0))
+    execute(closing, tmp_path / "skipped")
+    assert list(_series(tmp_path / "skipped" / "series.csv")["status"]) == [0, 0, 0, 1, 1]
+    _failing_solve(monkeypatch, 3)
+    execute(cfg, tmp_path / "failed")
+    series = _series(tmp_path / "failed" / "series.csv")
+    assert list(series["status"]) == [0, 0, 2, 2, 2]
+    assert np.all(np.isnan(series["c1"][2:]))
+
+
+def test_tracked_rows_leave_out_skips_and_refuse_gaps():
+    # the closing pair above: the gap falls below l_min from t = 1.5 on, and
+    # with the fast soliton behind, no tracked snapshot has a weighted mass I
+    p2, grid = ModelParams(2), Grid(1024, 128.0, -64.0)
+    state = SolitonState((1.0, 2.0), (10.0, -30.0))
+    collector = runs_mod.DiagnosticsCollector(p2, state, l_min=39.0)
+    evolve(soliton_sum(p2, state, grid), 2.0, p2, 1e-3, cadence=0.5,
+           observer=collector, keep_fields=False)
+    times, speeds = collector.tracked("c")
+    assert list(times) == [0.0, 0.5, 1.0] and speeds.shape == (3, 2)
+    assert collector.tracked("c", 1.5)[0].size == 0
+    with pytest.raises(runs_mod.TrackingGapError, match="^t=1.5 was skipped: no baseline c$"):
+        collector.tracked("c", 1.5, baseline=True)
+    with pytest.raises(runs_mod.TrackingGapError, match="^no finite I at the tracked snapshot t=0$"):
+        collector.tracked("I")
+
+
+def test_asymptotic_checks_fail_when_the_tracker_fails(tmp_path, monkeypatch):
+    # the radiation-escape preset shortened to 81 snapshots; the 77th solve
+    # fails, so every window the checks read ends in failed snapshots
+    cfg = preset("radiation-escape").with_updates(
+        grid=GridConfig(2048, 512.0, -128.0), t_final=20.0, cadence=0.25, dt=0.0025,
+        thresholds={"block_time": 2.5})
+    _failing_solve(monkeypatch, 77)
+    report = execute(cfg, tmp_path)
+    assert not report.passed
+    assert report.extras["tracking"]["t_failed"] == 19.0
+    for c in report.checks:
+        assert not c.passed and c.value is None and c.detail == "tracker failed at t=19"
+    assert {"speed-plateau", "ray-mass-nonincreasing"} <= {c.name for c in report.checks}
+    payload = _strict_json(tmp_path / "report.json")
+    assert all(c["value"] is None for c in payload["checks"])
+    assert list(_series(tmp_path / "series.csv")["status"][75:]) == [0, 2, 2, 2, 2, 2]
+
+
+def test_identity_check_fails_when_its_tracker_fails(tmp_path, monkeypatch):
+    # the sweep makes 27 solves (3 separations, 9 snapshots); the identity
+    # run's 50th solve, at t = 49 * 0.003, fails
+    cfg = preset("mass-monotonicity").with_updates(
+        grid=GridConfig(2048, 512.0, -256.0), positions=(-20.0, 20.0),
+        sweep_separations=(40.0, 60.0, 80.0), dt=1e-3, t_final=2.0, cadence=0.25,
+        identity_t=0.3, identity_cadence=0.003)
+    _failing_solve(monkeypatch, 77)
+    report = execute(cfg, tmp_path)
+    assert report.extras["failures"] == []
+    identity = {c.name: c for c in report.checks}["rate-identity"]
+    assert not identity.passed and identity.value is None
+    assert identity.detail == "tracker failed at t=0.147"
+    assert not (tmp_path / "identity.csv").exists()
+    payload = _strict_json(tmp_path / "report.json")
+    assert payload["extras"]["identity_sup_error"] is None
+
+
+def test_report_writes_non_finite_numbers_as_null(tmp_path):
+    report = runs_mod.RunReport("simulate", "nan", False,
+                                [runs_mod._check("c", float("nan"), 1.0)],
+                                extras={"blocks": [1.0, np.nan], "inf": np.float64(np.inf)})
+    runs_mod.write_report(tmp_path / "report.json", report)
+    payload = _strict_json(tmp_path / "report.json")
+    assert payload["checks"][0]["value"] is None
+    assert payload["extras"] == {"blocks": [1.0, None], "inf": None}
 
 
 def test_check_compares_the_reported_value():
