@@ -30,6 +30,9 @@ FAMILIES = ("simulate", "decompose", "spectrum", "stability", "monotonicity",
 # families that only inspect t=0 data, so time-stepping fields are unused
 STATIC_FAMILIES = ("decompose", "spectrum")
 
+# families that always track the decomposition; simulate tracks when asked
+TRACKED_FAMILIES = ("stability", "monotonicity", "quadratic-control", "asymptotic")
+
 # every threshold a family's checks read, with its default; cfg.thresholds
 # may override these keys and no others
 _DEFAULT_THRESHOLDS = {
@@ -150,6 +153,10 @@ def _check_common(cfg: ExperimentConfig) -> None:
             _fail(f"{name} is read only by {' and '.join(readers)}, not by {cfg.family}")
     if cfg.ref_index is not None and cfg.y0 is None:
         _fail("ref_index is read only together with y0")
+    if cfg.y0 is not None and cfg.family == "simulate" and not cfg.track.enabled:
+        _fail("y0 is read only by a tracked simulate run, and track.enabled is false")
+    if cfg.family in TRACKED_FAMILIES and not cfg.track.enabled:
+        _fail(f"{cfg.family}: tracking must be enabled (track.enabled)")
 
 
 def _check_family(cfg: ExperimentConfig) -> None:
@@ -162,7 +169,7 @@ def _check_family(cfg: ExperimentConfig) -> None:
             _fail(f"stability: need at least 2 solitons, got {n}")
         if not np.all(np.diff(cfg.positions) > 0):
             _fail("stability: positions must be sorted increasing")
-        if cfg.track.enabled and cfg.track.l_min > 0:
+        if cfg.track.l_min > 0:
             gap = float(np.min(np.diff(cfg.positions)))
             if gap < cfg.track.l_min:
                 _fail(f"stability: initial gap {gap:g} is below the declared "
@@ -209,8 +216,6 @@ def _check_family(cfg: ExperimentConfig) -> None:
             _fail("asymptotic: sponge must be enabled to absorb escaping radiation")
         if cfg.y0 is None:
             _fail("asymptotic: y0 (edge-probe offset) is required")
-        if not cfg.track.enabled:
-            _fail("asymptotic: tracking must be enabled")
     elif cfg.family == "nsoliton":
         if cfg.p != 2:
             _fail(f"nsoliton: exact multi-soliton references exist only for p=2, got p={cfg.p}")

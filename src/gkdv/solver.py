@@ -128,8 +128,15 @@ def sponge_profile(grid: Grid, cfg: SpongeSettings) -> np.ndarray:
 
 class Stepper:
     """Precomputed integrating-factor RK4 stepper for one (grid, dt, p) triple.
-    Transforms write into buffers it owns, sized to the last stack stepped;
-    with the absorbing layer on, u^p and sigma*u go through one two-row rfft."""
+
+    It owns buffers shaped like the last stack stepped: the transform buffers
+    (the field, and u^p with sigma*u as one two-row rfft when the absorbing
+    layer is on), the four RK4 stages and two temporaries, and the factors E,
+    E^2, 2E and -ik*mask tiled to the stack. Every stage writes into them, so
+    a step allocates only the spectrum it returns. That spectrum is always a
+    new array, never one of these buffers or the input: callers keep it and
+    slice it.
+    """
 
     def __init__(self, grid: Grid, dt: float, params: ModelParams,
                  sponge: SpongeSettings | None = None):
@@ -149,40 +156,65 @@ class Stepper:
         self._buffers(())
 
     def _buffers(self, batch: tuple) -> None:
-        """Transform buffers for a stack of the given leading shape: the field,
-        and (u^p, sigma*u) with the layer on."""
+        """Buffers and tiled factors for a stack of the given leading shape.
+        numpy's broadcasting loops cost about twice its equal-shape loops, and
+        tiling leaves every product's operands, so its bits, unchanged."""
         rows = 1 if self._sigma is None else 2
+        spectrum = batch + (self.e_half.size,)
         self._u = np.empty(batch + (self.grid.n,))
         self._flux = np.empty(batch + (rows, self.grid.n))
         self._flux_hat = np.empty(batch + (rows, self.e_half.size), dtype=complex)
+        self._stages = [np.empty(spectrum, dtype=complex) for _ in range(6)]   # a, b, c, d, t1, t2
+        self._e, self._e2, self._two_e, self._flux_symbol = (
+            np.ascontiguousarray(np.broadcast_to(f, spectrum))
+            for f in (self.e_half, self.e_full, self._two_e_half, self._minus_ik_masked))
 
-    def _rhs(self, uhat: np.ndarray) -> np.ndarray:
-        """dt times the flux and damping terms at uhat, in Fourier space."""
+    def _rhs(self, uhat: np.ndarray, out: np.ndarray) -> None:
+        """dt times the flux and damping terms at uhat, in Fourier space, into out."""
         u = np.fft.irfft(uhat, self.grid.n, out=self._u)
         _int_power(u, self.p, out=self._flux[..., 0, :])
         if self._sigma is not None:
             np.multiply(self._sigma, u, out=self._flux[..., 1, :])
         fh = np.fft.rfft(self._flux, out=self._flux_hat)
-        out = self._minus_ik_masked * fh[..., 0, :]
+        np.multiply(self._flux_symbol, fh[..., 0, :], out=out)
         if self._sigma is not None:
             out -= fh[..., 1, :]
-        out *= self.dt
-        return out
+        scaled = out.view(np.float64)                 # numpy's complex * dt, same values
+        scaled *= self.dt
 
     def step_hat(self, uhat: np.ndarray) -> np.ndarray:
         """One step of uhat, a spectrum or a (B, n//2 + 1) stack of them; rows
-        are transformed along the last axis and never mix."""
+        are transformed along the last axis and never mix. Returns a new
+        array and leaves uhat unchanged."""
         if self._u.shape[:-1] != uhat.shape[:-1]:
             self._buffers(uhat.shape[:-1])
-        # keep each product's operand order: numpy's complex products are not
+        # the steps of  a = f(uhat);  b = f(E*(uhat + 0.5*a));  c = f(E*uhat + 0.5*b);
+        # d = f(E2*uhat + E*c);  E2*uhat + (E2*a + 2E*(b + c) + d)/6,  with each
+        # product's operands in this order: numpy's complex products are not
         # bitwise commutative, and this order reproduces earlier runs exactly
-        E, E2 = self.e_half, self.e_full
-        a = self._rhs(uhat)
-        b = self._rhs(E * (uhat + 0.5 * a))
-        c = self._rhs(E * uhat + 0.5 * b)
-        e2u = E2 * uhat
-        d = self._rhs(e2u + E * c)
-        return e2u + (E2 * a + self._two_e_half * (b + c) + d) / 6.0
+        E, E2, two_e = self._e, self._e2, self._two_e
+        a, b, c, d, t1, t2 = self._stages
+        self._rhs(uhat, a)
+        np.multiply(0.5, a, out=t1)
+        np.add(uhat, t1, out=t1)
+        np.multiply(E, t1, out=t1)
+        self._rhs(t1, b)
+        np.multiply(E, uhat, out=t1)
+        np.multiply(0.5, b, out=t2)
+        np.add(t1, t2, out=t1)
+        self._rhs(t1, c)
+        np.multiply(E2, uhat, out=t2)                 # E2*uhat, kept to the end
+        np.multiply(E, c, out=t1)
+        np.add(t2, t1, out=t1)
+        self._rhs(t1, d)
+        np.multiply(E2, a, out=a)
+        np.add(b, c, out=b)
+        np.multiply(two_e, b, out=b)
+        np.add(a, b, out=a)
+        np.add(a, d, out=a)
+        scaled = a.view(np.float64)                   # numpy's complex / 6.0, same values
+        scaled *= 1.0 / 6.0
+        return t2 + a
 
 
 # ---------------------------------------------------------------------------

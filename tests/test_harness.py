@@ -129,6 +129,16 @@ def test_config_rejects_sweep_fields_the_family_ignores():
             preset(name).with_updates(y0=25.0, ref_index=0)
     with pytest.raises(ConfigValidationError, match="ref_index"):
         _cfg(ref_index=0)
+    # the sweep families and asymptotic always track, and an untracked
+    # simulate run writes no edge probes
+    untracked = TrackSettings(enabled=False)
+    for name in ("stability-bound", "drift-scaling", "mass-monotonicity", "radiation-escape"):
+        with pytest.raises(ConfigValidationError, match="tracking must be enabled"):
+            preset(name).with_updates(track=untracked)
+    for probes in ({"y0": 25.0}, {"y0": 25.0, "ref_index": 0}):
+        with pytest.raises(ConfigValidationError, match="y0 is read only by a tracked"):
+            preset("single-soliton").with_updates(track=untracked, **probes)
+    preset("single-soliton").with_updates(track=untracked)
     for name in preset_names():
         preset(name)
 

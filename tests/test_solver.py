@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from gkdv.solver import C_STAB, _int_power
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from convergence_study import temporal_errors  # noqa: E402
+from stepper_oracle import OracleStepper  # noqa: E402
 
 P2 = ModelParams(2)
 
@@ -177,30 +179,100 @@ def test_blowup_reports_last_finite_time():
 
 
 # ---------------------------------------------------------------------------
+# the buffered step
+
+def _evolved_stack(grid, params, dt, rows, sponge=None):
+    """Spectra of two-soliton fields plus different signed sines, after 50
+    oracle steps: fresh soliton_sum data puts subnormals into u^p on the
+    first steps, and an evolved state has none."""
+    base = soliton_sum(params, SolitonState((1.0, 2.0), (-20.0, 20.0)), grid).values
+    wave = np.sin(2 * np.pi * 7 * (grid.x - grid.x0) / grid.length)
+    uhat = np.fft.rfft(np.stack([base + 1e-3 * (r + 1) * wave for r in range(rows)]))
+    oracle = OracleStepper(grid, dt, params, sponge)
+    for _ in range(50):
+        uhat = oracle.step_hat(uhat)
+    return uhat
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("sponge", [False, True])
+@pytest.mark.parametrize("rows", [None, 4])
+def test_step_hat_matches_the_expression_oracle(p, sponge, rows):
+    grid = Grid(2048, 128.0, -64.0)
+    params, dt = ModelParams(p), 4e-4
+    sp = SpongeSettings(enabled=True, width_fraction=0.1, strength=5.0) if sponge else None
+    start = _evolved_stack(grid, params, dt, rows or 1, sp)
+    uhat = ref = start if rows else start[0].copy()
+    stepper, oracle = Stepper(grid, dt, params, sp), OracleStepper(grid, dt, params, sp)
+    for _ in range(50):
+        uhat, ref = stepper.step_hat(uhat), oracle.step_hat(ref)
+    assert uhat.shape == ref.shape == start.shape[rows is None:]
+    assert np.array_equal(uhat, ref)
+
+
+def test_step_hat_allocates_only_the_spectrum_it_returns():
+    grid = Grid(4096, 256.0, -80.0)                 # the limb-sweep stack
+    params, dt = ModelParams(3), 4e-4
+    start = _evolved_stack(grid, params, dt, 4)
+    stepper = Stepper(grid, dt, params)
+    uhat = stepper.step_hat(start)                  # sizes the buffers to the stack
+    before = uhat.copy()
+    tracemalloc.start()
+    try:
+        out = stepper.step_hat(uhat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4096
+    assert np.array_equal(uhat.view(np.uint64), before.view(np.uint64))
+    owned = [v for v in vars(stepper).values() if isinstance(v, np.ndarray)] + stepper._stages
+    assert not any(np.shares_memory(out, a) for a in owned + [uhat])
+    # shrink the stack from 4 rows to 3, as evolve does when a member leaves
+    uhat = out[[0, 2, 3]]
+    for _ in range(5):
+        uhat = stepper.step_hat(uhat)
+    solo = Stepper(grid, dt, params)
+    for row, got in zip((0, 2, 3), uhat):
+        ref = start[row].copy()
+        for _ in range(7):
+            ref = solo.step_hat(ref)
+        assert np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
 # stacked evolution
 
 def _recorder(seen):
     return lambda t, u: seen.append((t, u.values.copy()))
 
 
-@pytest.mark.parametrize("p", [2, 3, 4])
-@pytest.mark.parametrize("sponge", [False, True])
-@pytest.mark.parametrize("batch", [1, 3])
-def test_stacked_evolve_matches_sequential(p, sponge, batch):
-    grid = Grid(512, 128.0, -64.0)
+# (batch, sponge, p, grid, dt), each run for 100 steps: every small case, the
+# limb-sweep stack and an n = 8192 stack with the sponge, all under the gate
+_STACK_CASES = [pytest.param(batch, sponge, p, (512, 128.0, -64.0), 1e-3,
+                             id=f"{batch}-{sponge}-{p}")
+                for p in (2, 3, 4) for sponge in (False, True) for batch in (1, 3)] + [
+    pytest.param(4, False, 3, (4096, 256.0, -80.0), 4e-4, id="4-False-3-n4096"),
+    pytest.param(4, True, 2, (8192, 512.0, -256.0), 2e-4, id="4-True-2-n8192"),
+]
+
+
+@pytest.mark.parametrize("batch, sponge, p, grid, dt", _STACK_CASES)
+def test_stacked_evolve_matches_sequential(batch, sponge, p, grid, dt):
+    grid = Grid(*grid)
     params = ModelParams(p)
     sp = SpongeSettings(enabled=True, width_fraction=0.1, strength=5.0) if sponge else None
     base = soliton_sum(params, SolitonState((1.0, 2.0), (-20.0, 20.0)), grid).values
     u0s = [Field(grid, base + a * np.exp(-(grid.x - 3.0) ** 2 / 25.0))
-           for a in (0.0, 1e-2, 3e-2)[:batch]]
+           for a in (0.0, 1e-2, 3e-2, 5e-2)[:batch]]
     seen = [[] for _ in u0s]
-    stacked = evolve(u0s, 0.1, params, 1e-3, cadence=0.02, sponge=sp,
+    t_final, cadence = 100 * dt, 20 * dt
+    stacked = evolve(u0s, t_final, params, dt, cadence=cadence, sponge=sp,
                      observer=[_recorder(s) for s in seen])
     assert len(stacked) == batch
-    stepper = Stepper(grid, 1e-3, params, sp)
+    stepper = Stepper(grid, dt, params, sp)
     for u0, traj, got in zip(u0s, stacked, seen):
         mine = []
-        solo = evolve(u0, 0.1, params, 1e-3, cadence=0.02, sponge=sp,
+        solo = evolve(u0, t_final, params, dt, cadence=cadence, sponge=sp,
                       observer=_recorder(mine))
         assert traj.conservative == solo.conservative == (not sponge)
         for name in ("times", "mass", "energy"):
