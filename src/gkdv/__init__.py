@@ -12,14 +12,13 @@ from .errors import (BlowupError, ConfigValidationError,
                      DomainTooSmallError, GkdvError, GuessFailureError,
                      ParameterError, SpectralFailureError, StepSizeError,
                      UnsupportedModelError)
-from .functionals import (LocalizedMassRecord, PsiWeight, SpectrumResult,
-                          constrained_spectrum, energy_expansion_residual,
-                          linearized_energy_form, localized_mass_rate_terms,
-                          localized_masses, midpoints, speed_ramp,
-                          write_spectral_certificate)
+from .functionals import (PsiWeight, SpectrumResult, constrained_spectrum,
+                          energy_expansion_residual, linearized_energy_form,
+                          localized_mass_rate_terms, localized_masses,
+                          midpoints, speed_ramp, write_spectral_certificate)
 from .grid import Field, Grid
-from .modulation import (Decomposition, ModulationTracker, decompose,
-                         initial_guess, ortho_jacobian, ortho_residual)
+from .modulation import (Decomposition, decompose, initial_guess,
+                         ortho_jacobian, ortho_residual)
 from .profiles import (ModelParams, SolitonState, eval_Q, eval_Qc,
                        kdv_nsoliton_profile, profile_mass_constant,
                        sigma0_of_speeds, soliton_energy, soliton_sum)
@@ -35,12 +34,12 @@ __all__ = [
     "DegenerateConfigurationError", "DomainTooSmallError", "GkdvError",
     "GuessFailureError", "ParameterError", "SpectralFailureError",
     "StepSizeError", "UnsupportedModelError",
-    "LocalizedMassRecord", "PsiWeight", "SpectrumResult",
+    "PsiWeight", "SpectrumResult",
     "constrained_spectrum", "energy_expansion_residual",
     "linearized_energy_form", "localized_mass_rate_terms", "localized_masses",
     "midpoints", "speed_ramp", "write_spectral_certificate",
     "Field", "Grid",
-    "Decomposition", "ModulationTracker", "decompose", "initial_guess",
+    "Decomposition", "decompose", "initial_guess",
     "ortho_jacobian", "ortho_residual",
     "ModelParams", "SolitonState", "eval_Q", "eval_Qc", "kdv_nsoliton_profile",
     "profile_mass_constant", "sigma0_of_speeds", "soliton_energy", "soliton_sum",

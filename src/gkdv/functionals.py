@@ -123,44 +123,29 @@ def midpoints(state: SolitonState) -> np.ndarray:
     return 0.5 * (x[:-1] + x[1:])
 
 
-@dataclass
-class LocalizedMassRecord:
-    """Weighted masses to the right of each midpoint, plus edge probes.
+def localized_masses(u: Field, state: SolitonState, w: PsiWeight,
+                     y0: float | None = None, ref_index: int | None = None):
+    """(masses, j_left, j_right) of u around the soliton positions of state.
 
     masses[i] = int u^2 psi(x - m_{i+2}) for the midpoint between solitons
-    i+1 and i+2 (1-based labels). j_left/j_right probe the mass beyond +-y0
-    of the reference soliton.
+    i+1 and i+2 (1-based labels). With y0, j_left and j_right probe the mass
+    beyond -y0 and +y0 of the reference soliton (default the last); without
+    it, both are None.
     """
-
-    t: float
-    midpoints: np.ndarray
-    masses: np.ndarray
-    j_left: float | None
-    j_right: float | None
-    y0: float | None
-    ref_index: int | None
-
-
-def localized_masses(t: float, u: Field, state: SolitonState, w: PsiWeight,
-                     params: ModelParams, y0: float | None = None,
-                     ref_index: int | None = None) -> LocalizedMassRecord:
     x = _require_sorted_positions(state)
     h = u.grid.spacing
     u2 = u.values**2
-    mids = midpoints(state)
-    masses = np.array([h * float(np.sum(u2 * w.psi(u.grid.x - m))) for m in mids])
-    j_left = j_right = None
-    if y0 is not None:
-        if not (y0 > 0):
-            raise ParameterError(f"edge-probe offset y0 must be positive, got {y0}")
-        r = state.n - 1 if ref_index is None else int(ref_index)
-        if not (0 <= r < state.n):
-            raise ParameterError(f"ref_index {ref_index} outside 0..{state.n - 1}")
-        j_left = h * float(np.sum(u2 * (1.0 - w.psi(u.grid.x - (x[r] - y0)))))
-        j_right = h * float(np.sum(u2 * w.psi(u.grid.x - (x[r] + y0))))
-    return LocalizedMassRecord(t=float(t), midpoints=mids, masses=masses,
-                               j_left=j_left, j_right=j_right, y0=y0,
-                               ref_index=ref_index if y0 is not None else None)
+    masses = np.array([h * float(np.sum(u2 * w.psi(u.grid.x - m))) for m in midpoints(state)])
+    if y0 is None:
+        return masses, None, None
+    if not (y0 > 0):
+        raise ParameterError(f"edge-probe offset y0 must be positive, got {y0}")
+    r = state.n - 1 if ref_index is None else int(ref_index)
+    if not (0 <= r < state.n):
+        raise ParameterError(f"ref_index {ref_index} outside 0..{state.n - 1}")
+    j_left = h * float(np.sum(u2 * (1.0 - w.psi(u.grid.x - (x[r] - y0)))))
+    j_right = h * float(np.sum(u2 * w.psi(u.grid.x - (x[r] + y0))))
+    return masses, j_left, j_right
 
 
 def localized_mass_rate_terms(u: Field, m: float, w: PsiWeight,

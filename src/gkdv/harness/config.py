@@ -203,8 +203,7 @@ def _check_family(cfg: ExperimentConfig) -> None:
         if decades < 1.5 - 1e-12:
             _fail(f"quadratic-control: amplitudes span {decades:.2f} decades, need >= 1.5")
         sep = float(np.min(np.diff(np.sort(cfg.positions))))
-        gamma0 = math.sqrt(sigma0_of_speeds(np.asarray(cfg.speeds))) / 16.0
-        tail = math.exp(-gamma0 * sep)
+        tail = interaction_tail(cfg.speeds, sep)[1]
         if tail >= a[0] ** 2:
             _fail(f"quadratic-control: interaction tail exp(-gamma0 L) = {tail:.3g} at "
                   f"separation {sep:g} is not below the smallest amplitude squared "
@@ -221,6 +220,14 @@ def _check_family(cfg: ExperimentConfig) -> None:
             _fail(f"nsoliton: exact multi-soliton references exist only for p=2, got p={cfg.p}")
         if n < 2:
             _fail("nsoliton: need at least 2 solitons")
+
+
+def interaction_tail(speeds, gap: float):
+    """(gamma0, exp(-gamma0 gap)): the rate gamma0 = sqrt(sigma0) / 16 at which
+    the interaction of solitons with these speeds decays with their gap, and
+    its size at this gap."""
+    gamma0 = np.sqrt(sigma0_of_speeds(np.asarray(speeds))) / 16.0
+    return gamma0, float(np.exp(-gamma0 * gap))
 
 
 def _check_sweep(seps, family: str) -> None:

@@ -18,18 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import GkdvError, ParameterError
+from ..errors import (DecompositionFailureError, DegenerateConfigurationError,
+                      GkdvError, ParameterError)
 from ..functionals import (PsiWeight, constrained_spectrum,
                            linearized_energy_form, localized_mass_rate_terms,
-                           localized_masses, write_spectral_certificate)
+                           localized_masses, midpoints, write_spectral_certificate)
 from ..grid import Field
-from ..modulation import ModulationTracker, decompose, initial_guess, ortho_jacobian
+from ..modulation import decompose, initial_guess, ortho_jacobian
 from ..profiles import (ModelParams, SolitonBasis, SolitonState,
                         kdv_nsoliton_profile, profile_mass_constant,
                         soliton_energy, soliton_sum)
 from ..snapio import write_snapshots
 from ..solver import Trajectory, evolve, h1_norm, l2_norm, l2_norm_right_of
-from .config import ExperimentConfig, config_to_dict, thresholds_for
+from .config import ExperimentConfig, config_to_dict, interaction_tail, thresholds_for
 from .perturbations import PerturbationConfig, make_perturbation
 
 # ---------------------------------------------------------------------------
@@ -151,6 +152,11 @@ class DiagnosticsCollector:
     weighted masses with their rate-identity integrands, and edge probes.
     Conserved-quantity drift comes from the trajectory, in table().
 
+    Each snapshot's decomposition is seeded with the last decomposed state
+    advanced ballistically to its time. A seed whose smallest gap is below
+    l_min is SKIPPED; from the first failed decomposition on, every snapshot
+    is FAILED.
+
     rows holds one dict per snapshot: its time "t" and "status", the vectors
     "c", "x" (per soliton), "I", "S1", "S2" (per midpoint) and the scalar
     series under their series.csv names. Every entry starts NaN; a tracked
@@ -160,8 +166,11 @@ class DiagnosticsCollector:
                  l_min: float = 0.0, tol: float | None = None,
                  y0: float | None = None, ref_index: int | None = None):
         self.params = params
+        self.l_min = float(l_min)
+        self.tol = tol
         self.weight = PsiWeight(params.p, state0.sigma0)
-        self.tracker = ModulationTracker(params, state0, 0.0, l_min=l_min, tol=tol)
+        self._last = (0.0, state0)   # time and state of the last decomposition
+        self._failure = None         # (t, error) of the first failed one
         self.y0 = y0
         self.ref_index = ref_index
         self.frozen_speeds = state0.speed_array.copy()
@@ -179,10 +188,21 @@ class DiagnosticsCollector:
     def __call__(self, t: float, u: Field) -> None:
         row = {"t": float(t), **self._template}
         self.rows.append(row)
-        dec = self.tracker.update(t, u)
-        if dec is None:
-            row["status"] = SKIPPED if self.tracker.failure_index is None else FAILED
+        if self._failure is not None:
+            row["status"] = FAILED
             return
+        t_last, last = self._last
+        x = last.position_array + last.speed_array * (t - t_last)
+        if x.size > 1 and self.l_min > 0.0 and float(np.min(np.diff(np.sort(x)))) < self.l_min:
+            row["status"] = SKIPPED
+            return
+        try:
+            dec = decompose(u, SolitonState(last.speeds, tuple(x)), self.params, tol=self.tol)
+        except (DecompositionFailureError, DegenerateConfigurationError) as exc:
+            self._failure = (float(t), exc)
+            row["status"] = FAILED
+            return
+        self._last = (float(t), dec.state)
         st, eps = dec.state, dec.epsilon
         # frozen-speed profiles at the tracked positions, on the same offsets
         frozen = dec.basis.rows(0, speeds=self.frozen_speeds).sum(axis=0)
@@ -203,14 +223,14 @@ class DiagnosticsCollector:
             row["eps_h1_ahead"] = float(np.sqrt(u.grid.spacing
                                                 * np.sum((ev * ev + ex * ex) * wts)))
         if np.all(np.diff(st.position_array) > 0):
-            rec = localized_masses(t, u, st, self.weight, self.params,
-                                   y0=self.y0, ref_index=self.ref_index)
+            masses, j_left, j_right = localized_masses(u, st, self.weight, self.y0,
+                                                       self.ref_index)
             rates = [localized_mass_rate_terms(u, m, self.weight, self.params)
-                     for m in rec.midpoints]
-            row.update({"I": rec.masses, "S1": np.array([r[0] for r in rates]),
+                     for m in midpoints(st)]
+            row.update({"I": masses, "S1": np.array([r[0] for r in rates]),
                         "S2": np.array([r[1] for r in rates])})
             if self.y0 is not None:
-                row.update({"j_left": rec.j_left, "j_right": rec.j_right})
+                row.update({"j_left": j_left, "j_right": j_right})
 
     def tracked(self, key: str, t_from: float = 0.0, baseline: bool = False):
         """Times and values of `key` at the tracked snapshots from t_from on,
@@ -253,10 +273,10 @@ class DiagnosticsCollector:
     def tracking(self) -> dict:
         """Time and "<ErrorType>: <message>" of the first snapshot whose
         decomposition failed; None for both when none failed."""
-        i, exc = self.tracker.failure_index, self.tracker.failure_error
-        if i is None:
+        if self._failure is None:
             return {"t_failed": None, "error": None}
-        return {"t_failed": self.rows[i]["t"], "error": f"{type(exc).__name__}: {exc}"}
+        t, exc = self._failure
+        return {"t_failed": t, "error": f"{type(exc).__name__}: {exc}"}
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +287,13 @@ def _build(cfg: ExperimentConfig):
     grid = cfg.grid.build()
     state = SolitonState(cfg.speeds, cfg.positions)
     return params, grid, state
+
+
+def _collector(cfg: ExperimentConfig, params, state) -> DiagnosticsCollector:
+    """The collector of a tracked run from state, with the config's tracking
+    settings and edge probes."""
+    return DiagnosticsCollector(params, state, l_min=cfg.track.l_min, tol=cfg.track.tol,
+                                y0=cfg.y0, ref_index=cfg.ref_index)
 
 
 def _initial_field(perturbation: PerturbationConfig, params, grid, state) -> Field:
@@ -297,11 +324,7 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     u0 = _initial_field(cfg.perturbation, params, grid, state)
     thr = thresholds_for(cfg)
 
-    collector = None
-    if cfg.track.enabled:
-        collector = DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
-                                         tol=cfg.track.tol, y0=cfg.y0,
-                                         ref_index=cfg.ref_index)
+    collector = _collector(cfg, params, state) if cfg.track.enabled else None
     traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
                   sponge=cfg.sponge, observer=collector,
                   keep_fields=cfg.write_snapshots)
@@ -462,7 +485,7 @@ def _amplitude_limb(cfg: ExperimentConfig, params, grid, state, alpha: float):
     soliton sum."""
     u0 = (soliton_sum(params, state, grid) if alpha == 0 else
           _initial_field(replace(cfg.perturbation, amplitude=alpha), params, grid, state))
-    return u0, DiagnosticsCollector(params, state, l_min=cfg.track.l_min, tol=cfg.track.tol)
+    return u0, _collector(cfg, params, state)
 
 
 def _sup_speed_drift(collector: DiagnosticsCollector) -> float:
@@ -517,8 +540,7 @@ def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     # the stability bound's fitted stand-in constant: sup distance against
     # alpha + exp(-gamma0 L) with L the initial gap
     gap = float(np.min(np.diff(state.position_array)))
-    gamma0 = np.sqrt(state.sigma0) / 16.0
-    tail = float(np.exp(-gamma0 * gap))
+    gamma0, tail = interaction_tail(state.speeds, gap)
     a0_fit = (float(np.max([d / (a + tail) for d, a in zip(sup_dist, done)]))
               if done else None)
     extras = {"alphas": done, "sup_dist_frozen": sup_dist,
@@ -534,10 +556,7 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
 
     def build(sep):
         state = SolitonState(cfg.speeds, (-0.5 * sep, 0.5 * sep))
-        return (_initial_field(cfg.perturbation, params, grid, state),
-                DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
-                                     tol=cfg.track.tol, y0=cfg.y0,
-                                     ref_index=cfg.ref_index))
+        return _initial_field(cfg.perturbation, params, grid, state), _collector(cfg, params, state)
 
     def measure(collector):
         # the largest mass increase; with y0, the right probe's rise and the left one's fall
@@ -553,14 +572,11 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     seps = [sep for sep, _, _ in limbs]
     increases = [inc for _, _, (inc, _) in limbs]
 
-    if not seps:
-        return _report(cfg, [_check("max-weighted-mass-increase", None, thr["max_increase"],
-                                    detail="every separation failed")], extras=records)
     # the near-separation checks read the smallest configured separation only
     near = cfg.sweep_separations[0]
     sigma0 = SolitonState(cfg.speeds, (0.0, near)).sigma0
     anchor = float(np.exp(-np.sqrt(sigma0) * near / 8.0))
-    if seps[0] != near:
+    if not seps or seps[0] != near:
         named = [("max-weighted-mass-increase", thr["max_increase"]),
                  ("increase-decays-with-separation", None),
                  ("increase-bound-constant", thr["bound_constant_max"])]
@@ -677,9 +693,7 @@ def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     params, grid, state = _build(cfg)
     thr = thresholds_for(cfg)
     u0 = _initial_field(cfg.perturbation, params, grid, state)
-    collector = DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
-                                     tol=cfg.track.tol, y0=cfg.y0,
-                                     ref_index=cfg.ref_index)
+    collector = _collector(cfg, params, state)
     traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
                   sponge=cfg.sponge, observer=collector, keep_fields=False)
     write_series_csv(outdir / "series.csv", list(collector.table(traj).items()))
@@ -719,8 +733,10 @@ def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
                              thr["final_fraction"],
                              detail=f"peak {peak:.3e}, final {blocks[-1]:.3e}"))
     else:
-        checks.append(_check("ray-mass-nonincreasing", None, None,
-                             detail="tracking gaps left empty averaging blocks"))
+        detail = (f"{len(blocks)} averaging blocks, {blocks.count(None)} of them empty; "
+                  f"the trend test needs at least 4, none empty")
+        checks += [_check("ray-mass-nonincreasing", None, thr["block_slack"], detail=detail),
+                   _check("ray-mass-final-fraction", None, thr["final_fraction"], detail=detail)]
 
     # stronger localized diagnostic: the remainder norm on the half-line
     # moving with the slowest soliton. The raw edge probes (kept in the

@@ -2,9 +2,7 @@
 
 A field u is written as sum_j Q_{c_j}(x - x_j) + eps with 2N orthogonality
 constraints <R_j, eps> = <(R_j)_x, eps> = 0. The constraint system is solved
-by a damped Newton iteration with an analytic Jacobian; ModulationTracker
-follows a trajectory snapshot by snapshot, seeding each solve from the
-ballistically advanced previous state.
+by a damped Newton iteration with an analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -207,48 +205,3 @@ def initial_guess(u: Field, n_solitons: int, params: ModelParams,
     except ParameterError as exc:
         raise GuessFailureError(f"peak detection produced an invalid state: {exc}") from exc
 
-
-# ---------------------------------------------------------------------------
-# tracking along trajectories
-
-class ModulationTracker:
-    """Streaming tracker: seed each snapshot from the ballistically advanced
-    previous decomposition; skip snapshots whose predicted separation falls
-    below l_min; stop at the first hard failure."""
-
-    def __init__(self, params: ModelParams, first: SolitonState,
-                 t0: float = 0.0, l_min: float = 0.0, tol: float | None = None):
-        self.params = params
-        self.l_min = float(l_min)
-        self.tol = tol
-        self.failure_index = None
-        self.failure_error = None
-        self._count = 0
-        self._last_state = first
-        self._last_t = float(t0)
-
-    def predict(self, t: float) -> SolitonState:
-        dt = t - self._last_t
-        c = self._last_state.speed_array
-        x = self._last_state.position_array + c * dt
-        return SolitonState(tuple(c), tuple(x))
-
-    def update(self, t: float, u: Field) -> Decomposition | None:
-        """Decompose one snapshot; None when skipped (too close or after failure)."""
-        index = self._count
-        self._count += 1
-        if self.failure_index is not None:
-            return None
-        seed = self.predict(t)
-        x = seed.position_array
-        if x.size > 1 and self.l_min > 0.0 and float(np.min(np.diff(np.sort(x)))) < self.l_min:
-            return None
-        try:
-            dec = decompose(u, seed, self.params, tol=self.tol)
-        except (DecompositionFailureError, DegenerateConfigurationError) as exc:
-            self.failure_index = index
-            self.failure_error = exc
-            return None
-        self._last_state = dec.state
-        self._last_t = float(t)
-        return dec

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import beta as beta_fn
 
 from .errors import DomainTooSmallError, ParameterError, UnsupportedModelError
 from .grid import Field, Grid
@@ -145,22 +145,12 @@ def eval_Qc(p: int, c: float, x, deriv: int = 0):
 # ---------------------------------------------------------------------------
 # profile constants
 
-_QUAD_HALF_WIDTH = 60.0  # adaptive quadrature window; tails appended analytically
-
-
-def _tail_amplitude(p: int) -> float:
-    # Q(x) ~ (2(p+1))^(1/(p-1)) exp(-|x|) for large |x|
-    return (2.0 * (p + 1)) ** (1.0 / (p - 1))
-
-
 @lru_cache(maxsize=None)
 def profile_mass_constant(p: int) -> float:
-    """int Q^2 dx, by adaptive quadrature on |x| <= 60 plus the analytic tail."""
+    """int Q^2 dx = A^2 B(q, 1/2) / a for Q = A sech^q(a x)."""
     p = _check_p(p)
-    val, _ = quad(lambda x: float(eval_Q(p, x)) ** 2, -_QUAD_HALF_WIDTH, _QUAD_HALF_WIDTH,
-                  epsabs=1e-14, epsrel=1e-13, limit=200)
-    tail = _tail_amplitude(p) ** 2 * math.exp(-2.0 * _QUAD_HALF_WIDTH)  # both sides of int e^{-2|x|}
-    return val + tail
+    amp, a, q = ((p + 1) / 2.0) ** (1.0 / (p - 1)), 0.5 * (p - 1), 2.0 / (p - 1)
+    return float(amp**2 * beta_fn(q, 0.5) / a)
 
 
 def soliton_energy(p: int, c: float) -> float:

@@ -110,10 +110,8 @@ def sponge_profile(grid: Grid, cfg: SpongeSettings) -> np.ndarray:
         return np.zeros(grid.n)
     if not (0.0 < cfg.width_fraction < 0.5):
         raise ParameterError(f"sponge width_fraction must lie in (0, 0.5), got {cfg.width_fraction}")
-    if not (cfg.strength >= 0.0):
-        raise ParameterError(f"sponge strength must be nonnegative, got {cfg.strength}")
-    if cfg.strength == 0.0:
-        return np.zeros(grid.n)
+    if not (cfg.strength > 0.0):
+        raise ParameterError(f"sponge strength must be positive, got {cfg.strength}")
     w = 0.5 * cfg.width_fraction * grid.length          # half-width around the seam
     d = grid.wrap(grid.x - grid.x0)                     # signed distance to the seam
     r = np.clip(np.abs(d) / w, 0.0, 1.0)

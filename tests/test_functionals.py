@@ -171,11 +171,11 @@ def test_localized_masses_two_solitons():
     st = SolitonState((1.0, 2.2), (-40.0, 40.0))
     u = soliton_sum(P2, st, grid)
     w = PsiWeight(P2.p, st.sigma0)
-    rec = localized_masses(0.0, u, st, w, P2, y0=25.0, ref_index=1)
-    assert rec.midpoints.shape == (1,)
-    assert rec.midpoints[0] == 0.0
+    masses, j_left, j_right = localized_masses(u, st, w, y0=25.0, ref_index=1)
+    assert masses.shape == (1,)
+    assert midpoints(st)[0] == 0.0
     # the midpoint mass is the right soliton's mass up to weight tails
-    assert abs(rec.masses[0] - 2.2**1.5 * 6.0) < 1e-4
+    assert abs(masses[0] - 2.2**1.5 * 6.0) < 1e-4
 
     def total(x):
         return eval_Qc(2, 2.2, x - 40.0) + eval_Qc(2, 1.0, x + 40.0)
@@ -186,8 +186,8 @@ def test_localized_masses_two_solitons():
     jl, err = quad(lambda x: total(x)**2 * (1.0 - float(w.psi(np.array([x - 15.0]))[0])),
                    -256.0, 256.0, limit=400)
     assert err < 1e-8
-    assert abs(rec.j_right - jr) < 1e-10
-    assert abs(rec.j_left - jl) < 1e-10
+    assert abs(j_right - jr) < 1e-10
+    assert abs(j_left - jl) < 1e-10
 
 
 def test_localized_masses_validation():
@@ -196,11 +196,12 @@ def test_localized_masses_validation():
     u = soliton_sum(P2, st, grid)
     w = PsiWeight(P2.p, st.sigma0)
     with pytest.raises(ParameterError):
-        localized_masses(0.0, u, st, w, P2, y0=-5.0, ref_index=1)
+        localized_masses(u, st, w, y0=-5.0, ref_index=1)
     with pytest.raises(ParameterError):
-        localized_masses(0.0, u, st, w, P2, y0=10.0, ref_index=5)
-    rec = localized_masses(0.0, u, st, w, P2)
-    assert rec.j_left is None and rec.j_right is None and rec.ref_index is None
+        localized_masses(u, st, w, y0=10.0, ref_index=5)
+    # without y0 there are no probes, and ref_index is not read
+    masses, j_left, j_right = localized_masses(u, st, w, ref_index=5)
+    assert masses.shape == (1,) and j_left is None and j_right is None
 
 
 def test_localized_mass_rate_identity():

@@ -10,7 +10,6 @@ import pytest
 from gkdv import (ConfigValidationError, DecompositionFailureError, Field,
                   Grid, ModelParams, ParameterError, StepSizeError, Stepper,
                   dt_stability_bound, evolve, read_snapshots, soliton_sum)
-from gkdv import modulation as modulation_mod
 from gkdv import solver as solver_mod
 from gkdv.harness import runs as runs_mod
 from gkdv.harness.cli import _FAMILY_PRESET, build_parser, main
@@ -517,7 +516,7 @@ def test_tracked_run_computes_conserved_once_per_snapshot(tmp_path, monkeypatch)
 
 
 def test_tracking_failure_reaches_the_report(tmp_path, monkeypatch, small_sim_cfg):
-    real = modulation_mod.decompose
+    real = runs_mod.decompose
     calls = []
 
     def failing_third(u, guess, params, **kwargs):
@@ -526,7 +525,7 @@ def test_tracking_failure_reaches_the_report(tmp_path, monkeypatch, small_sim_cf
             raise DecompositionFailureError("injected at the third snapshot")
         return real(u, guess, params, **kwargs)
 
-    monkeypatch.setattr(modulation_mod, "decompose", failing_third)
+    monkeypatch.setattr(runs_mod, "decompose", failing_third)
     execute(small_sim_cfg.with_updates(write_snapshots=False), tmp_path)
     tracking = json.loads((tmp_path / "report.json").read_text())["extras"]["tracking"]
     assert tracking == {"t_failed": 1.0,
@@ -591,7 +590,7 @@ def test_stability_sweep_isolates_failed_limb(tmp_path, monkeypatch,
 def test_sweep_reports_tracker_failures(tmp_path, monkeypatch, small_stability_cfg):
     # the limbs are decomposed in turn at each snapshot, so the tenth solve is
     # the alpha = 0 limb's at t = 1.5
-    real = modulation_mod.decompose
+    real = runs_mod.decompose
     calls = []
 
     def failing_tenth(u, guess, params, **kwargs):
@@ -600,7 +599,7 @@ def test_sweep_reports_tracker_failures(tmp_path, monkeypatch, small_stability_c
             raise DecompositionFailureError("injected at the tenth solve")
         return real(u, guess, params, **kwargs)
 
-    monkeypatch.setattr(modulation_mod, "decompose", failing_tenth)
+    monkeypatch.setattr(runs_mod, "decompose", failing_tenth)
     report = execute(small_stability_cfg, tmp_path)
     text = (tmp_path / "report.json").read_text()
     assert "DecompositionFailureError: injected at the tenth solve" in text
@@ -628,7 +627,7 @@ def test_monotonicity_checks_read_the_nearest_configured_separation(tmp_path, mo
         grid=GridConfig(2048, 512.0, -256.0), positions=(-20.0, 20.0),
         sweep_separations=(40.0, 60.0, 80.0), dt=1e-3, t_final=2.0, cadence=0.25,
         identity_t=0.3, identity_cadence=0.003)
-    real = modulation_mod.decompose
+    real = runs_mod.decompose
     calls = []
 
     def failing_fourth(u, guess, params, **kwargs):
@@ -637,7 +636,7 @@ def test_monotonicity_checks_read_the_nearest_configured_separation(tmp_path, mo
             raise DecompositionFailureError("injected at the fourth solve")
         return real(u, guess, params, **kwargs)
 
-    monkeypatch.setattr(modulation_mod, "decompose", failing_fourth)
+    monkeypatch.setattr(runs_mod, "decompose", failing_fourth)
     report = execute(cfg, tmp_path)
     assert not report.passed
     assert report.extras["separations"] == [60.0, 80.0]
@@ -652,6 +651,17 @@ def test_monotonicity_checks_read_the_nearest_configured_separation(tmp_path, mo
     for c in failed:
         assert c.value is None and c.detail == "separation 40 failed"
     assert report.extras["bound_constant"] is None
+    # the 3 limbs' solves at t = 0.25 all fail: the same checks fail, and the
+    # identity run, whose solves follow, still checks the rate identity
+    monkeypatch.undo()
+    _failing_solve(monkeypatch, 4, 5, 6)
+    report = execute(cfg, tmp_path / "every-separation-failed")
+    assert report.extras["separations"] == []
+    assert [c.name for c in report.checks] == [c.name for c in failed] + ["rate-identity"]
+    for c in report.checks[:-1]:
+        assert not c.passed and c.value is None and c.detail == "separation 40 failed"
+    assert report.checks[-1].passed
+    assert (tmp_path / "every-separation-failed" / "identity.csv").exists()
 
 
 def _strict_json(path):
@@ -661,17 +671,18 @@ def _strict_json(path):
     return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
-def _failing_solve(monkeypatch, k):
-    """Make the k-th decompose call raise DecompositionFailureError."""
-    real, calls = modulation_mod.decompose, []
+def _failing_solve(monkeypatch, *solves):
+    """Make the collector's k-th decompose call, for each k in solves, raise
+    DecompositionFailureError."""
+    real, calls = runs_mod.decompose, []
 
     def failing(u, guess, params, **kwargs):
         calls.append(guess)
-        if len(calls) == k:
-            raise DecompositionFailureError(f"injected at solve {k}")
+        if len(calls) in solves:
+            raise DecompositionFailureError(f"injected at solve {len(calls)}")
         return real(u, guess, params, **kwargs)
 
-    monkeypatch.setattr(modulation_mod, "decompose", failing)
+    monkeypatch.setattr(runs_mod, "decompose", failing)
 
 
 def _series(path):
@@ -730,6 +741,16 @@ def test_asymptotic_checks_fail_when_the_tracker_fails(tmp_path, monkeypatch):
     payload = _strict_json(tmp_path / "report.json")
     assert all(c["value"] is None for c in payload["checks"])
     assert list(_series(tmp_path / "series.csv")["status"][75:]) == [0, 2, 2, 2, 2, 2]
+    # untouched but with only 2 averaging blocks, the trend test cannot run,
+    # and both of its checks fail
+    monkeypatch.undo()
+    report = execute(cfg.with_updates(thresholds={"block_time": 10.0}), tmp_path / "two-blocks")
+    assert [c.name for c in report.checks] == [
+        "speed-plateau", "ray-mass-nonincreasing", "ray-mass-final-fraction",
+        "remainder-contraction"]
+    for c in report.checks[1:3]:
+        assert not c.passed and c.value is None
+        assert c.detail.startswith("2 averaging blocks, 0 of them empty")
 
 
 def test_identity_check_fails_when_its_tracker_fails(tmp_path, monkeypatch):

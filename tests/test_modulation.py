@@ -5,11 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from fd_jacobian import fd_jacobian
-from gkdv import (Field, Grid, ModelParams, ModulationTracker, ParameterError,
-                  SolitonState, decompose, eval_Qc, evolve, initial_guess,
-                  l2_norm, ortho_jacobian, ortho_residual, soliton_sum)
+from gkdv import (Field, Grid, ModelParams, ParameterError, SolitonState,
+                  decompose, eval_Qc, evolve, initial_guess, l2_norm,
+                  ortho_jacobian, ortho_residual, soliton_sum)
 from gkdv.errors import (DecompositionFailureError,
                          DegenerateConfigurationError, GuessFailureError)
+from gkdv.harness.runs import FAILED, SKIPPED, TRACKED, DiagnosticsCollector
 
 P2 = ModelParams(2)
 GRID = Grid(2048, 256.0, -128.0)
@@ -199,25 +200,27 @@ def _ballistic_trajectory(st, times):
 
 
 def _track(times, fields, n_solitons):
-    """Seed from the peaks of the first snapshot, then update a
-    ModulationTracker at every snapshot, as the diagnostics collector does;
-    returns the tracker and the speeds and positions, NaN where skipped."""
+    """Seed from the peaks of the first snapshot and observe every snapshot
+    with a diagnostics collector; returns it and the speeds and positions,
+    NaN where not tracked."""
     seed = initial_guess(fields[0], n_solitons, P2)
-    tracker = ModulationTracker(P2, seed, t0=float(times[0]))
-    speeds = np.full((len(times), n_solitons), np.nan)
-    positions = np.full((len(times), n_solitons), np.nan)
-    for i, (t, f) in enumerate(zip(times, fields)):
-        dec = tracker.update(float(t), f)
-        if dec is not None:
-            speeds[i], positions[i] = dec.state.speeds, dec.state.positions
-    return tracker, speeds, positions
+    collector = DiagnosticsCollector(P2, seed)
+    for t, f in zip(times, fields):
+        collector(float(t), f)
+    speeds, positions = (np.array([row[key] for row in collector.rows]) for key in ("c", "x"))
+    return collector, speeds, positions
+
+
+def _statuses(collector):
+    return [row["status"] for row in collector.rows]
 
 
 def test_track_ballistic_sum():
     st = SolitonState((1.0, 2.2), (-60.0, 10.0))
     times, fields = _ballistic_trajectory(st, np.linspace(0.0, 4.0, 9))
-    tracker, speeds, positions = _track(times, fields, 2)
-    assert tracker.failure_index is None
+    collector, speeds, positions = _track(times, fields, 2)
+    assert collector.tracking() == {"t_failed": None, "error": None}
+    assert _statuses(collector) == [TRACKED] * 9
     assert np.max(np.abs(speeds - st.speed_array)) < 1e-9
     expected_pos = st.position_array + np.outer(times, st.speed_array)
     assert np.max(np.abs(positions - expected_pos)) < 1e-9
@@ -225,19 +228,22 @@ def test_track_ballistic_sum():
 
 def test_tracker_skips_below_min_separation():
     st = SolitonState((1.0, 2.0), (-10.0, 10.0))
-    tracker = ModulationTracker(P2, st, t0=0.0, l_min=50.0)
-    out = tracker.update(1.0, soliton_sum(P2, st, GRID))
-    assert out is None
-    assert tracker.failure_index is None       # skipped, not failed
+    collector = DiagnosticsCollector(P2, st, l_min=50.0)
+    collector(1.0, soliton_sum(P2, st, GRID))
+    assert _statuses(collector) == [SKIPPED]
+    assert np.all(np.isnan(collector.rows[0]["c"]))
+    assert collector.tracking()["t_failed"] is None     # skipped, not failed
 
 
 def test_tracker_records_first_failure():
     st = SolitonState((1.0, 2.2), (-60.0, 10.0))
     times, fields = _ballistic_trajectory(st, np.linspace(0.0, 2.0, 5))
     fields[2] = Field(GRID, np.zeros(GRID.n))
-    tracker, speeds, _ = _track(times, fields, 2)
-    assert tracker.failure_index == 2
-    assert isinstance(tracker.failure_error, DegenerateConfigurationError)
+    collector, speeds, _ = _track(times, fields, 2)
+    tracking = collector.tracking()
+    assert tracking["t_failed"] == times[2]
+    assert tracking["error"].startswith(f"{DegenerateConfigurationError.__name__}: ")
+    assert _statuses(collector) == [TRACKED] * 2 + [FAILED] * 3
     assert np.all(np.isnan(speeds[2:]))        # no recovery after a hard failure
     assert np.all(np.isfinite(speeds[:2]))
 
@@ -247,8 +253,8 @@ def test_track_follows_evolution():
     st = SolitonState((1.0, 2.2), (-40.0, 5.0))
     u0 = soliton_sum(P2, st, grid)
     traj = evolve(u0, 2.0, P2, 1e-3, cadence=0.5)
-    tracker, speeds, positions = _track(traj.times, traj.fields, 2)
-    assert tracker.failure_index is None
+    collector, speeds, positions = _track(traj.times, traj.fields, 2)
+    assert collector.tracking()["t_failed"] is None
     assert np.max(np.abs(speeds - st.speed_array)) < 1e-4
     drift = positions - st.position_array - np.outer(traj.times, st.speed_array)
     assert np.max(np.abs(drift)) < 1e-3

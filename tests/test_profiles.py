@@ -1,5 +1,10 @@
 """Ground profile, rescaling laws, sampled sums, and the exact p=2 family."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -120,6 +125,20 @@ def test_mass_constant(p, frozen):
     oracle = _quad_oracle(lambda x: float(eval_Q(p, x)) ** 2)
     assert abs(oracle - frozen) < 1e-9
     assert abs(profile_mass_constant(p) - oracle) < 1e-12
+
+
+def test_harness_import_loads_no_quadrature_or_optimizer():
+    # the profile constants are closed-form, so a fresh interpreter that
+    # imports the harness loads neither scipy.integrate nor scipy.optimize
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, gkdv.harness; print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.integrate', 'scipy.optimize'))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _sech_moments(p: int):

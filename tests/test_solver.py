@@ -435,7 +435,8 @@ def test_sponge_profile_shape():
 
 def test_sponge_config_validation():
     grid = Grid(512, 128.0, -64.0)
-    for bad in (dict(width_fraction=0.6), dict(width_fraction=0.0), dict(strength=-1.0)):
+    for bad in (dict(width_fraction=0.6), dict(width_fraction=0.0), dict(strength=-1.0),
+                dict(strength=0.0)):
         with pytest.raises(ParameterError):
             sponge_profile(grid, SpongeSettings(enabled=True, **bad))
     # a disabled layer is never built, so its ranges are not checked
