@@ -5,8 +5,8 @@ ModelParams, SolitonState, the grid, the step-size gate and step lattice of
 the solver, the perturbation, the sponge profile and soliton_sum's seam-tail
 test. A library error comes back as ConfigValidationError, prefixed with the
 config field it concerns. On top of these, each experiment family has its
-own rules. The default thresholds of every family live here too; a config
-may override them, and only them.
+own rules. The default thresholds and the checks of every family live here
+too; a config may override the thresholds, and only them.
 """
 
 from __future__ import annotations
@@ -52,6 +52,37 @@ _DEFAULT_THRESHOLDS = {
                    "block_slack": 0.05, "final_fraction": 1.0 / 3.0,
                    "contraction_factor": 0.5, "contraction_floor": 1e-8},
     "nsoliton": {"l2_distance": 1e-5, "refit_speeds": 1e-4},
+}
+
+# each family's checks in report order, as (name, comparison, threshold): the
+# key of a default, the (lo, hi) keys of an in-range check, or None (the run's)
+CHECKS = {
+    "simulate": (("mass-drift", "<=", "conservation"),
+                 ("energy-drift", "<=", "conservation"),
+                 ("propagation-error", "<=", "propagation")),
+    "decompose": (("speed-recovery", "<=", None),
+                  ("ortho-residual", "<", "residual"),
+                  ("jacobian-diagonal", "<=", "jacobian_diag_rel"),
+                  ("guess-free-agreement", "<=", "guess_agreement")),
+    "spectrum": (("constrained-positive", ">", "lambda_min"),
+                 ("unconstrained-negative", "<", None)),
+    "stability": (("baseline-distance", "<=", "baseline_sup"),
+                  ("distance-over-amplitude", "<=", "distance_over_alpha"),
+                  ("distance-monotone-in-amplitude", ">=", "monotone_frac")),
+    "monotonicity": (("max-weighted-mass-increase", "<=", "max_increase"),
+                     ("increase-decays-with-separation", "<=", None),
+                     ("increase-bound-constant", "<=", "bound_constant_max"),
+                     ("right-probe-almost-nonincreasing", "<=", "probe_slack"),
+                     ("left-probe-almost-nondecreasing", "<=", "probe_slack"),
+                     ("rate-identity", "<=", "identity_rel")),
+    "quadratic-control": (("speed-drift-scaling", "in-range", ("speed_slope_lo", "speed_slope_hi")),
+                          ("remainder-scaling", "in-range", ("eps_slope_lo", "eps_slope_hi"))),
+    "asymptotic": (("speed-plateau", "<=", "plateau_std"),
+                   ("ray-mass-nonincreasing", "<=", "block_slack"),
+                   ("ray-mass-final-fraction", "<=", "final_fraction"),
+                   ("remainder-contraction", "<=", None)),
+    "nsoliton": (("profile-distance", "<=", "l2_distance"),
+                 ("refit-speeds", "<=", "refit_speeds")),
 }
 
 
@@ -129,6 +160,12 @@ def _check_common(cfg: ExperimentConfig) -> None:
     if unknown:
         _fail(f"unknown {cfg.family} thresholds {sorted(unknown)}; "
               f"known: {sorted(_DEFAULT_THRESHOLDS[cfg.family])}")
+    if not all(-math.inf < v < math.inf for v in cfg.thresholds.values()):
+        _fail(f"thresholds must be finite, got {cfg.thresholds!r}")
+    thr = thresholds_for(cfg)
+    for lo, hi in (key for _, comparison, key in CHECKS[cfg.family] if comparison == "in-range"):
+        if not thr[lo] < thr[hi]:
+            _fail(f"thresholds: {lo} = {thr[lo]:g} must be below {hi} = {thr[hi]:g}")
     _built("p", ModelParams, cfg.p)
     state = _built("speeds, positions", SolitonState, cfg.speeds, cfg.positions)
     grid = _built("grid", cfg.grid.build)

@@ -1,7 +1,7 @@
 """Drivers for the experiment families.
 
 Each driver builds initial data, evolves it while streaming per-snapshot
-diagnostics, evaluates the family's quantitative checks, and writes
+diagnostics, measures what its checks in config.CHECKS read, and writes
 series.csv (full time series) plus any family-specific artifacts into the
 output directory. execute() dispatches on the config family and writes the
 final report.json.
@@ -30,7 +30,7 @@ from ..profiles import (ModelParams, SolitonBasis, SolitonState,
                         soliton_energy, soliton_sum)
 from ..snapio import write_snapshots
 from ..solver import Trajectory, evolve, h1_norm, l2_norm, l2_norm_right_of
-from .config import ExperimentConfig, config_to_dict, interaction_tail, thresholds_for
+from .config import CHECKS, ExperimentConfig, config_to_dict, interaction_tail, thresholds_for
 from .perturbations import PerturbationConfig, make_perturbation
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,34 @@ def _check(name: str, value, threshold, comparison: str = "<=", detail: str = ""
     return CheckResult(name, passed, value, threshold, comparison, detail)
 
 
-def _report(cfg: ExperimentConfig, checks, fits=None, extras=None) -> RunReport:
+def _checks(cfg: ExperimentConfig, results: dict) -> list:
+    """The report's checks from a driver's results, {name: (value, detail)}
+    or, where CHECKS leaves the threshold to the run, {name: (value, detail,
+    threshold)}: one per name, in CHECKS order, against its declared
+    comparison and threshold. An in-range check reports its lo and, by
+    default, its allowed range as detail. A None value fails, with the detail
+    as its reason. A name CHECKS does not declare, or a run's threshold for a
+    check whose threshold CHECKS declares, raises KeyError."""
+    undeclared = set(results) - {name for name, _, _ in CHECKS[cfg.family]}
+    if undeclared:
+        raise KeyError(f"{cfg.family} declares no checks {sorted(undeclared)}")
+    thr, checks = thresholds_for(cfg), []
+    for name, comparison, key in (row for row in CHECKS[cfg.family] if row[0] in results):
+        value, detail, derived = (*results[name], None)[:3]
+        if derived is not None and key is not None:
+            raise KeyError(f"{name} reads its declared threshold {key}, not the run's")
+        if comparison == "in-range":
+            lo, hi = thr[key[0]], thr[key[1]]
+            checks.append(CheckResult(name, value is not None and lo <= value <= hi, value, lo,
+                                      comparison, detail or f"allowed [{lo}, {hi}]"))
+        else:
+            checks.append(_check(name, value, derived if key is None else thr[key],
+                                 comparison, detail))
+    return checks
+
+
+def _report(cfg: ExperimentConfig, results: dict, fits=None, extras=None) -> RunReport:
+    checks = _checks(cfg, results)
     return RunReport(family=cfg.family, label=cfg.label,
                      passed=all(c.passed for c in checks), checks=checks,
                      fits=fits or [], extras=extras or {},
@@ -322,25 +349,21 @@ def _log_slope(xs, ys) -> tuple[float, float]:
 def run_simulate(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     params, grid, state = _build(cfg)
     u0 = _initial_field(cfg.perturbation, params, grid, state)
-    thr = thresholds_for(cfg)
-
     collector = _collector(cfg, params, state) if cfg.track.enabled else None
     traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
                   sponge=cfg.sponge, observer=collector,
                   keep_fields=cfg.write_snapshots)
 
-    checks = []
+    results, extras = {}, {}
     if not cfg.sponge.enabled:
         dm, de = traj.relative_drift()
-        checks.append(_check("mass-drift", dm, thr["conservation"]))
-        checks.append(_check("energy-drift", de, thr["conservation"]))
-    extras = {}
+        results.update({"mass-drift": (dm, ""), "energy-drift": (de, "")})
     if state.n == 1 and cfg.perturbation.kind == "none":
         c, x0 = state.speeds[0], state.positions[0]
         moved = SolitonState((c,), (x0 + c * cfg.t_final,))
         exact = SolitonBasis(params, moved, grid).total
         err = l2_norm(Field(grid, traj.final.values - exact))
-        checks.append(_check("propagation-error", err, thr["propagation"]))
+        results["propagation-error"] = (err, "")
         extras["propagation_error"] = err
 
     if collector is not None:
@@ -354,7 +377,7 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     if cfg.write_snapshots:
         write_snapshots(outdir / "snapshots.bin", params.p, grid, cfg.dt,
                         cfg.cadence, traj.times, traj.fields)
-    return _report(cfg, checks, extras=extras)
+    return _report(cfg, results, extras=extras)
 
 
 def run_decompose(cfg: ExperimentConfig, outdir: Path) -> RunReport:
@@ -364,12 +387,12 @@ def run_decompose(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     alpha = cfg.perturbation.amplitude
 
     dec = decompose(u0, state, params)
-    checks = []
+    results = {}
     if alpha > 0:
         dc = float(np.max(np.abs(dec.state.speed_array - np.asarray(cfg.speeds))))
-        checks.append(_check("speed-recovery", dc, thr["speed_recovery_factor"] * alpha))
+        results["speed-recovery"] = (dc, "", thr["speed_recovery_factor"] * alpha)
     res = float(np.max(np.abs(dec.ortho_residuals)))
-    checks.append(_check("ortho-residual", res, thr["residual"], "<"))
+    results["ortho-residual"] = (res, "")
 
     # own-speed sensitivity of the profile overlap against its closed form
     J = ortho_jacobian(u0, dec.state, params)
@@ -382,13 +405,13 @@ def run_decompose(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         got = J[2 * j, 2 * j]
         worst = max(worst, abs(got - expected) / abs(expected))
         diag_pairs.append({"speed": c, "value": got, "expected": expected})
-    checks.append(_check("jacobian-diagonal", worst, thr["jacobian_diag_rel"]))
+    results["jacobian-diagonal"] = (worst, "")
 
     # peak-detection seeding must land in the same basin
     guess = initial_guess(u0, state.n, params)
     dec2 = decompose(u0, guess, params)
     agree = float(np.max(np.abs(dec2.state.speed_array - dec.state.speed_array)))
-    checks.append(_check("guess-free-agreement", agree, thr["guess_agreement"]))
+    results["guess-free-agreement"] = (agree, "")
 
     n = state.n
     pairs = [("t", [0.0])]
@@ -400,23 +423,22 @@ def run_decompose(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     extras = {"jacobian_diagonal": diag_pairs,
               "recovered_speeds": list(dec.state.speeds),
               "recovered_positions": list(dec.state.positions)}
-    return _report(cfg, checks, extras=extras)
+    return _report(cfg, results, extras=extras)
 
 
 def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     params, grid, state = _build(cfg)
-    thr = thresholds_for(cfg)
     w = PsiWeight(params.p, state.sigma0)
     res_c = constrained_spectrum(state, w, params, grid, constrained=True)
     res_u = constrained_spectrum(state, w, params, grid, constrained=False)
-    checks = [_check("constrained-positive", res_c.lambda_min, thr["lambda_min"], ">"),
-              _check("unconstrained-negative", res_u.lambda_min, 0.0, "<")]
     write_spectral_certificate(outdir / "certificate.json", res_c, state, params,
-                               grid, thr["lambda_min"])
+                               grid, thresholds_for(cfg)["lambda_min"])
     write_series_csv(outdir / "series.csv",
                      [("lambda_constrained", [res_c.lambda_min]),
                       ("lambda_unconstrained", [res_u.lambda_min])])
-    return _report(cfg, checks, extras={"lambda_constrained": res_c.lambda_min,
+    results = {"constrained-positive": (res_c.lambda_min, ""),
+               "unconstrained-negative": (res_u.lambda_min, "", 0.0)}
+    return _report(cfg, results, extras={"lambda_constrained": res_c.lambda_min,
                                         "lambda_unconstrained": res_u.lambda_min,
                                         "constraint_residuals": res_c.constraint_residuals,
                                         "eigen_residual_constrained": res_c.eigen_residual,
@@ -499,7 +521,6 @@ def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     frozen-speed soliton family must stay solver-small for the unperturbed
     limb and linearly bounded in the perturbation size for the others."""
     params, grid, state = _build(cfg)
-    thr = thresholds_for(cfg)
     alphas = list(cfg.alphas) if cfg.alphas else [0.0, cfg.perturbation.amplitude]
 
     def measure(collector):
@@ -511,31 +532,23 @@ def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     done = [alpha for alpha, _, _ in limbs]
     sup_dist, sup_dc = ([r[i] for _, _, r in limbs] for i in range(2))
 
-    checks = []
+    results = {}
     if alphas[0] == 0.0:
-        if done and done[0] == 0.0:
-            checks.append(_check("baseline-distance", sup_dist[0], thr["baseline_sup"],
-                                 detail="unperturbed limb: solver error "
-                                        "plus interaction tail only"))
-        else:
-            checks.append(_check("baseline-distance", None, thr["baseline_sup"],
-                                 detail="unperturbed limb failed"))
+        results["baseline-distance"] = (
+            (sup_dist[0], "unperturbed limb: solver error plus interaction tail only")
+            if done and done[0] == 0.0 else (None, "unperturbed limb failed"))
     ratios = [sup_dist[i] / a for i, a in enumerate(done) if a > 0]
-    if ratios:
-        checks.append(_check("distance-over-amplitude", float(np.max(ratios)),
-                             thr["distance_over_alpha"],
-                             detail=f"per-limb ratios {['%.3f' % r for r in ratios]}"))
-    else:
-        checks.append(_check("distance-over-amplitude", None, thr["distance_over_alpha"],
-                             detail="no perturbed limb completed"))
+    results["distance-over-amplitude"] = (
+        (float(np.max(ratios)), f"per-limb ratios {['%.3f' % r for r in ratios]}")
+        if ratios else (None, "no perturbed limb completed"))
     if len(done) == len(alphas) and len(done) >= 2:
         frac = float(np.min([sup_dist[i + 1] / max(sup_dist[i], 1e-300)
                              for i in range(len(done) - 1)]))
-        checks.append(_check("distance-monotone-in-amplitude", frac, thr["monotone_frac"],
-                             ">=", f"sup distances {['%.3e' % d for d in sup_dist]}"))
+        results["distance-monotone-in-amplitude"] = (
+            frac, f"sup distances {['%.3e' % d for d in sup_dist]}")
     else:
-        checks.append(_check("distance-monotone-in-amplitude", None, thr["monotone_frac"],
-                             ">=", "failed limbs prevent the monotone sweep"))
+        results["distance-monotone-in-amplitude"] = (
+            None, "failed limbs prevent the monotone sweep")
 
     # the stability bound's fitted stand-in constant: sup distance against
     # alpha + exp(-gamma0 L) with L the initial gap
@@ -546,7 +559,7 @@ def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     extras = {"alphas": done, "sup_dist_frozen": sup_dist,
               "sup_speed_drift": sup_dc, "gamma0": gamma0,
               "gap": gap, "tail": tail, "A0_fit": a0_fit, **records}
-    return _report(cfg, checks, extras=extras)
+    return _report(cfg, results, extras=extras)
 
 
 def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
@@ -577,35 +590,25 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     sigma0 = SolitonState(cfg.speeds, (0.0, near)).sigma0
     anchor = float(np.exp(-np.sqrt(sigma0) * near / 8.0))
     if not seps or seps[0] != near:
-        named = [("max-weighted-mass-increase", thr["max_increase"]),
-                 ("increase-decays-with-separation", None),
-                 ("increase-bound-constant", thr["bound_constant_max"])]
-        if cfg.y0 is not None:
-            named += [("right-probe-almost-nonincreasing", thr["probe_slack"]),
-                      ("left-probe-almost-nondecreasing", thr["probe_slack"])]
         k_fit = None
-        checks = [_check(name, None, threshold, detail=f"separation {near:g} failed")
-                  for name, threshold in named]
+        results = {name: (None, f"separation {near:g} failed") for name, _, _ in CHECKS[cfg.family]
+                   if name != "rate-identity" and (cfg.y0 is not None or "probe" not in name)}
     else:
         p_near, p_far = increases[0], increases[-1]
-        checks = [_check("max-weighted-mass-increase", p_near, thr["max_increase"])]
-        if len(seps) >= 2:
-            checks.append(_check("increase-decays-with-separation", p_far,
-                                 max(p_near / thr["ratio_min"], thr["increase_floor"]),
-                                 detail=f"near-separation increase {p_near:.3e}"))
-        else:
-            checks.append(_check("increase-decays-with-separation", None, None,
-                                 detail="failed limbs prevent the separation sweep"))
         k_fit = p_near / anchor
-        checks.append(_check("increase-bound-constant", k_fit, thr["bound_constant_max"],
-                             detail=f"increase {p_near:.3e} against tail anchor {anchor:.3e}"))
-
+        decay = ((p_far, f"near-separation increase {p_near:.3e}") if len(seps) >= 2
+                 else (None, "failed limbs prevent the separation sweep"))
+        results = {"max-weighted-mass-increase": (p_near, ""),
+                   "increase-decays-with-separation":
+                       (*decay, max(p_near / thr["ratio_min"], thr["increase_floor"])),
+                   "increase-bound-constant":
+                       (k_fit, f"increase {p_near:.3e} against tail anchor {anchor:.3e}")}
         # edge probes around the reference soliton: almost nonincreasing on
         # the right, almost nondecreasing on the left
         if cfg.y0 is not None:
             rise, fall = limbs[0][2][1]
-            checks.append(_check("right-probe-almost-nonincreasing", rise, thr["probe_slack"]))
-            checks.append(_check("left-probe-almost-nondecreasing", fall, thr["probe_slack"]))
+            results.update({"right-probe-almost-nonincreasing": (rise, ""),
+                            "left-probe-almost-nondecreasing": (fall, "")})
 
     # fine-cadence identity verification at the smallest separation; its
     # collector skips nothing, so the tracked rows are the whole time lattice
@@ -618,7 +621,7 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         times, masses = collector.tracked("I")
         pos, s1, s2 = (collector.tracked(key)[1] for key in ("x", "S1", "S2"))
     except TrackingGapError as exc:
-        checks.append(_check("rate-identity", None, thr["identity_rel"], detail=str(exc)))
+        results["rate-identity"] = (None, str(exc))
         err = scale = None
     else:
         mids = 0.5 * (pos[:, :-1] + pos[:, 1:])
@@ -628,9 +631,8 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         interior = slice(2, -2)
         err = np.max(np.abs(lhs[interior] - rhs[interior]))
         scale = max(np.max(np.abs(rhs[interior])), 1e-300)
-        checks.append(_check("rate-identity", float(err / scale), thr["identity_rel"],
-                             detail=f"sup |d/dt I - (S1 - mdot S2)| = {err:.3e} "
-                                    f"against scale {scale:.3e}"))
+        results["rate-identity"] = (float(err / scale), f"sup |d/dt I - (S1 - mdot S2)| = "
+                                                        f"{err:.3e} against scale {scale:.3e}")
         ident_pairs = [("t", times)]
         for i in range(masses.shape[1]):
             ident_pairs += [(f"I{i + 2}", masses[:, i]), (f"dIdt{i + 2}", lhs[:, i]),
@@ -640,7 +642,7 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     extras = {"separations": seps, "max_increases": increases,
               "bound_constant": k_fit, "tail_anchor": anchor,
               "identity_sup_error": err, "identity_scale": scale, **records}
-    return _report(cfg, checks, extras=extras)
+    return _report(cfg, results, extras=extras)
 
 
 def run_quadratic_control(cfg: ExperimentConfig, outdir: Path) -> RunReport:
@@ -656,37 +658,27 @@ def run_quadratic_control(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     done = [alpha for alpha, _, _ in limbs]
     sup_dc, sup_eps, eps0 = ([r[i] for _, _, r in limbs] for i in range(3))
 
-    checks, fits = [], []
+    results, fits = {}, []
     usable = [i for i, v in enumerate(sup_dc) if v > thr["drift_floor"]]
     if len(usable) >= 3:
         xs = [eps0[i] for i in usable]
         ys = [sup_dc[i] for i in usable]
         slope, icpt = _log_slope(xs, ys)
         fits.append(FitResult("speed-drift-vs-remainder", slope, icpt, xs, ys))
-        ok = thr["speed_slope_lo"] <= slope <= thr["speed_slope_hi"]
-        checks.append(CheckResult("speed-drift-scaling", ok, slope,
-                                  thr["speed_slope_lo"], comparison="in-range",
-                                  detail=f"allowed [{thr['speed_slope_lo']}, "
-                                         f"{thr['speed_slope_hi']}]"))
+        results["speed-drift-scaling"] = (slope, "")
     else:
-        checks.append(_check("speed-drift-scaling", None, None,
-                             detail="fewer than 3 amplitudes produced speed "
-                                    "drift above the measurement floor"))
+        results["speed-drift-scaling"] = (None, "fewer than 3 amplitudes produced speed "
+                                                "drift above the measurement floor")
     if len(done) >= 3:
         slope_e, icpt_e = _log_slope(done, sup_eps)
         fits.append(FitResult("h1-remainder-vs-amplitude", slope_e, icpt_e,
                               done, sup_eps))
-        ok_e = thr["eps_slope_lo"] <= slope_e <= thr["eps_slope_hi"]
-        checks.append(CheckResult("remainder-scaling", ok_e, slope_e,
-                                  thr["eps_slope_lo"], comparison="in-range",
-                                  detail=f"allowed [{thr['eps_slope_lo']}, "
-                                         f"{thr['eps_slope_hi']}]"))
+        results["remainder-scaling"] = (slope_e, "")
     else:
-        checks.append(_check("remainder-scaling", None, None,
-                             detail="fewer than 3 amplitudes completed"))
+        results["remainder-scaling"] = (None, "fewer than 3 amplitudes completed")
     extras = {"alphas": done, "sup_speed_drift": sup_dc,
               "sup_eps_h1": sup_eps, "eps_h1_initial": eps0, **records}
-    return _report(cfg, checks, fits=fits, extras=extras)
+    return _report(cfg, results, fits=fits, extras=extras)
 
 
 def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
@@ -703,17 +695,11 @@ def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         ea, jl, jr, speeds = (collector.tracked(key)[1]
                               for key in ("eps_h1_ahead", "j_left", "j_right", "c"))
     except TrackingGapError as exc:
-        checks = [_check(name, None, None, detail=str(exc))
-                  for name in ("speed-plateau", "ray-mass-nonincreasing",
-                               "ray-mass-final-fraction", "remainder-contraction")]
-        return _report(cfg, checks, extras={"tracking": collector.tracking()})
+        results = {name: (None, str(exc)) for name, _, _ in CHECKS[cfg.family]}
+        return _report(cfg, results, extras={"tracking": collector.tracking()})
 
-    if plateau.shape[0] < 8:
-        checks = [_check("speed-plateau", None, thr["plateau_std"],
-                         detail="too few tracked snapshots in the final quarter")]
-    else:
-        checks = [_check("speed-plateau", float(np.max(np.std(plateau, axis=0))),
-                         thr["plateau_std"])]
+    results = {"speed-plateau": (None, "too few tracked snapshots in the final quarter")
+               if plateau.shape[0] < 8 else (float(np.max(np.std(plateau, axis=0))), "")}
 
     # trend test on the rightward-ray remainder mass: block-averaged, it must
     # be nonincreasing once past its transient peak and finish well below it
@@ -724,19 +710,16 @@ def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         peak_at = int(np.argmax(blocks))
         peak = blocks[peak_at]
         upticks = np.diff(blocks[peak_at:]) / peak
-        checks.append(_check("ray-mass-nonincreasing",
-                             float(np.max(upticks)) if upticks.size else 0.0,
-                             thr["block_slack"],
-                             detail=f"largest post-peak uptick over peak; "
-                                    f"peak block {peak_at}"))
-        checks.append(_check("ray-mass-final-fraction", float(blocks[-1] / peak),
-                             thr["final_fraction"],
-                             detail=f"peak {peak:.3e}, final {blocks[-1]:.3e}"))
+        results["ray-mass-nonincreasing"] = (float(np.max(upticks)) if upticks.size else 0.0,
+                                             f"largest post-peak uptick over peak; "
+                                             f"peak block {peak_at}")
+        results["ray-mass-final-fraction"] = (float(blocks[-1] / peak),
+                                              f"peak {peak:.3e}, final {blocks[-1]:.3e}")
     else:
         detail = (f"{len(blocks)} averaging blocks, {blocks.count(None)} of them empty; "
                   f"the trend test needs at least 4, none empty")
-        checks += [_check("ray-mass-nonincreasing", None, thr["block_slack"], detail=detail),
-                   _check("ray-mass-final-fraction", None, thr["final_fraction"], detail=detail)]
+        results.update(dict.fromkeys(("ray-mass-nonincreasing", "ray-mass-final-fraction"),
+                                     (None, detail)))
 
     # stronger localized diagnostic: the remainder norm on the half-line
     # moving with the slowest soliton. The raw edge probes (kept in the
@@ -744,23 +727,21 @@ def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     # through the ramp tail at a fixed offset; this windowed norm does.
     means = [float(np.mean(wd)) for wd in np.array_split(ea, 4) if wd.size]
     if len(means) == 4:
-        checks.append(_check("remainder-contraction", means[-1],
-                             max(thr["contraction_factor"] * means[0], thr["contraction_floor"]),
-                             detail=f"window means {['%.3e' % v for v in means]}"))
+        results["remainder-contraction"] = (
+            means[-1], f"window means {['%.3e' % v for v in means]}",
+            max(thr["contraction_factor"] * means[0], thr["contraction_floor"]))
     else:
-        checks.append(_check("remainder-contraction", None, None,
-                             detail="not enough tracked snapshots to form windows"))
+        results["remainder-contraction"] = (None, "not enough tracked snapshots to form windows")
     extras = {"ray_blocks": blocks, "window_means": means,
               "tracking": collector.tracking(),
               "j_left_first_last": [float(jl[0]), float(jl[-1])] if jl.size else [],
               "j_right_first_last": [float(jr[0]), float(jr[-1])] if jr.size else [],
               "final_speeds": list(speeds[-1]) if speeds.size else []}
-    return _report(cfg, checks, extras=extras)
+    return _report(cfg, results, extras=extras)
 
 
 def run_nsoliton(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     params, grid, _ = _build(cfg)
-    thr = thresholds_for(cfg)
     speeds = np.asarray(cfg.speeds)
     phases = np.asarray(cfg.positions)
     u0 = kdv_nsoliton_profile(cfg.speeds, cfg.positions, 0.0, grid, p=cfg.p)
@@ -774,7 +755,7 @@ def run_nsoliton(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
                   sponge=cfg.sponge, observer=observer, keep_fields=False)
     max_dist = float(np.max(dists))
-    checks = [_check("profile-distance", max_dist, thr["l2_distance"])]
+    results = {"profile-distance": (max_dist, "")}
 
     # refit speeds and phase parameters against the evolved endpoint
     from scipy.optimize import least_squares
@@ -792,7 +773,7 @@ def run_nsoliton(cfg: ExperimentConfig, outdir: Path) -> RunReport:
                         ftol=1e-14, gtol=1e-14)
     c_fit = np.sort(sol.x[: speeds.size])
     dc = float(np.max(np.abs(c_fit - speeds)))
-    checks.append(_check("refit-speeds", dc, thr["refit_speeds"]))
+    results["refit-speeds"] = (dc, "")
 
     write_series_csv(outdir / "series.csv",
                      [("t", traj.times), ("l2_distance", np.asarray(dists)),
@@ -800,7 +781,7 @@ def run_nsoliton(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     extras = {"max_l2_distance": max_dist, "refit_speeds": list(c_fit),
               "refit_phases": list(sol.x[speeds.size:]),
               "final_l2_distance": dists[-1]}
-    return _report(cfg, checks, extras=extras)
+    return _report(cfg, results, extras=extras)
 
 
 _DISPATCH = {

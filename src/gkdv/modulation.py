@@ -37,10 +37,6 @@ class Decomposition:
     iterations: int
     basis: SolitonBasis | None = field(default=None, repr=False, compare=False)
 
-    def reconstruct(self, params: ModelParams) -> Field:
-        g = self.epsilon.grid
-        return Field(g, self.epsilon.values + SolitonBasis(params, self.state, g).total)
-
 
 def _residual(u: Field, basis: SolitonBasis) -> np.ndarray:
     eps = u.values - basis.total

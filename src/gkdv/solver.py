@@ -222,21 +222,14 @@ class Stepper:
 class Trajectory:
     """Snapshots of an evolution at uniform cadence, plus conserved series.
 
-    final is the last snapshot, kept whether or not fields are. conservative
-    is False when the absorbing layer was active (mass/energy drift is then
-    physical, not numerical).
+    final is the last snapshot, kept whether or not fields are.
     """
 
-    params: ModelParams
-    grid: Grid
-    dt: float
-    cadence: float
     times: np.ndarray
     fields: list
     final: Field | None
     mass: np.ndarray
     energy: np.ndarray
-    conservative: bool
 
     def drift_series(self) -> tuple[np.ndarray, np.ndarray]:
         """Relative mass and energy drift from the first snapshot, per snapshot."""
@@ -307,10 +300,8 @@ def evolve(u0: Field | list, t_final: float, params: ModelParams, dt: float,
 
     def _partial(k: int) -> Trajectory:
         times, fields, mass, energy = series[k]
-        return Trajectory(params=params, grid=grid, dt=dt, cadence=every * dt,
-                          times=np.asarray(times), fields=fields, final=finals[k],
-                          mass=np.asarray(mass), energy=np.asarray(energy),
-                          conservative=stepper._sigma is None)
+        return Trajectory(times=np.asarray(times), fields=fields, final=finals[k],
+                          mass=np.asarray(mass), energy=np.asarray(energy))
 
     def _drop(failed: dict) -> None:
         """Take the failed rows (row -> error) out of the stack."""

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from gkdv import (ConfigValidationError, DecompositionFailureError, Field,
 from gkdv import solver as solver_mod
 from gkdv.harness import runs as runs_mod
 from gkdv.harness.cli import _FAMILY_PRESET, build_parser, main
-from gkdv.harness.config import (ExperimentConfig, GridConfig,
+from gkdv.harness.config import (_DEFAULT_THRESHOLDS, CHECKS, FAMILIES,
+                                 ExperimentConfig, GridConfig,
                                  PerturbationConfig, SpongeSettings, TrackSettings,
                                  config_from_dict, config_to_dict, load_config,
                                  preset, preset_names, save_config)
@@ -278,6 +280,14 @@ def test_config_rejects_bad_thresholds():
     for bad in (["conservation"], {"conservation": "1e-9"}, {"conservation": True}):
         with pytest.raises(ConfigValidationError, match="must map names to numbers"):
             config_from_dict({"family": "simulate", "thresholds": bad})
+    # an infinite threshold passes every <= check, a NaN fails every one
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ConfigValidationError, match="must be finite"):
+            config_from_dict({"family": "simulate", "thresholds": {"conservation": bad}})
+    # an empty range fails its in-range check on every run
+    for lo in (3.0, 2.3):
+        with pytest.raises(ConfigValidationError, match="speed_slope_lo = .* must be below"):
+            preset("drift-scaling").with_updates(thresholds={"speed_slope_lo": lo})
     assert _cfg(thresholds={"conservation": 1e-9}).thresholds == {"conservation": 1e-9}
 
 
@@ -662,6 +672,16 @@ def test_monotonicity_checks_read_the_nearest_configured_separation(tmp_path, mo
         assert not c.passed and c.value is None and c.detail == "separation 40 failed"
     assert report.checks[-1].passed
     assert (tmp_path / "every-separation-failed" / "identity.csv").exists()
+    # only the farther separations' solves at t = 0.25 fail: the near checks
+    # are measured, and the decay check, which needs a farther one, fails
+    # against the bound derived from the near increase
+    monkeypatch.undo()
+    _failing_solve(monkeypatch, 5, 6)
+    report = execute(cfg, tmp_path / "farther-separations-failed")
+    assert report.extras["separations"] == [40.0]
+    decay = {c.name: c for c in report.checks}["increase-decays-with-separation"]
+    assert not decay.passed and decay.value is None
+    assert decay.threshold == max(report.extras["max_increases"][0] / 10.0, 1e-10)
 
 
 def _strict_json(path):
@@ -738,6 +758,8 @@ def test_asymptotic_checks_fail_when_the_tracker_fails(tmp_path, monkeypatch):
     for c in report.checks:
         assert not c.passed and c.value is None and c.detail == "tracker failed at t=19"
     assert {"speed-plateau", "ray-mass-nonincreasing"} <= {c.name for c in report.checks}
+    # the declared thresholds are reported; the run-derived one was not computed
+    assert [c.threshold for c in report.checks] == [1e-4, 0.05, 1.0 / 3.0, None]
     payload = _strict_json(tmp_path / "report.json")
     assert all(c["value"] is None for c in payload["checks"])
     assert list(_series(tmp_path / "series.csv")["status"][75:]) == [0, 2, 2, 2, 2, 2]
@@ -791,6 +813,44 @@ def test_check_compares_the_reported_value():
     missing = check("c", None, 1.0, ">=", "nothing measured")
     assert not missing.passed
     assert (missing.value, missing.comparison, missing.detail) == (None, ">=", "nothing measured")
+
+
+def test_check_table_reads_the_family_defaults():
+    assert set(CHECKS) == set(_DEFAULT_THRESHOLDS) == set(FAMILIES)
+    for family, rows in CHECKS.items():
+        for name, comparison, key in rows:
+            keys = key if comparison == "in-range" else (key,) if key is not None else ()
+            assert set(keys) <= set(_DEFAULT_THRESHOLDS[family]), (family, name)
+
+
+def test_checks_follow_the_table():
+    cfg = preset("drift-scaling")                 # speed slope in [1.7, 2.3], eps in [0.8, 1.2]
+    build = partial(runs_mod._checks, cfg)
+    checks = build({"remainder-scaling": (1.2, ""), "speed-drift-scaling": (1.7, "")})
+    assert [c.name for c in checks] == ["speed-drift-scaling", "remainder-scaling"]
+    assert all(c.passed for c in checks)          # both ends of a range are inside it
+    assert [(c.threshold, c.comparison, c.detail) for c in checks] == [
+        (1.7, "in-range", "allowed [1.7, 2.3]"), (0.8, "in-range", "allowed [0.8, 1.2]")]
+    assert build({"speed-drift-scaling": (2.3, "")})[0].passed
+    assert not build({"speed-drift-scaling": (2.31, "")})[0].passed
+    assert not build({"remainder-scaling": (0.79, "")})[0].passed
+    missing = build({"speed-drift-scaling": (None, "too few amplitudes")})[0]
+    assert not missing.passed
+    assert (missing.value, missing.threshold, missing.comparison, missing.detail) == (
+        None, 1.7, "in-range", "too few amplitudes")
+    with pytest.raises(KeyError, match="mass-drift"):
+        build({"mass-drift": (0.0, "")})
+    # a threshold the table declares is never the run's
+    with pytest.raises(KeyError, match="propagation"):
+        runs_mod._checks(_cfg(), {"propagation-error": (0.0, "", 1.0)})
+
+
+def test_readme_lists_every_check():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Checks\n", 1)[1].split("\n## ", 1)[0]
+    for rows in CHECKS.values():
+        for name, comparison, _ in rows:
+            assert f"`{name}` | `{comparison}` |" in table, name
 
 
 # ---------------------------------------------------------------------------
