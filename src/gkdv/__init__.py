@@ -15,14 +15,13 @@ from .errors import (BlowupError, ConfigValidationError,
 from .functionals import (PsiWeight, SpectrumResult, constrained_spectrum,
                           energy_expansion_residual, linearized_energy_form,
                           localized_mass_rate_terms, localized_masses,
-                          midpoints, speed_ramp, write_spectral_certificate)
+                          midpoints, speed_ramp)
 from .grid import Field, Grid
 from .modulation import (Decomposition, decompose, initial_guess,
                          ortho_jacobian, ortho_residual)
 from .profiles import (ModelParams, SolitonState, eval_Q, eval_Qc,
                        kdv_nsoliton_profile, profile_mass_constant,
                        sigma0_of_speeds, soliton_energy, soliton_sum)
-from .snapio import SnapshotSet, read_snapshots, write_snapshots
 from .solver import (ConservedQuantities, SpongeSettings, Stepper, Trajectory,
                      conserved, dt_stability_bound, evolve, h1_norm, l2_norm,
                      l2_norm_right_of, sponge_profile)
@@ -37,13 +36,12 @@ __all__ = [
     "PsiWeight", "SpectrumResult",
     "constrained_spectrum", "energy_expansion_residual",
     "linearized_energy_form", "localized_mass_rate_terms", "localized_masses",
-    "midpoints", "speed_ramp", "write_spectral_certificate",
+    "midpoints", "speed_ramp",
     "Field", "Grid",
     "Decomposition", "decompose", "initial_guess",
     "ortho_jacobian", "ortho_residual",
     "ModelParams", "SolitonState", "eval_Q", "eval_Qc", "kdv_nsoliton_profile",
     "profile_mass_constant", "sigma0_of_speeds", "soliton_energy", "soliton_sum",
-    "SnapshotSet", "read_snapshots", "write_snapshots",
     "ConservedQuantities", "SpongeSettings", "Stepper", "Trajectory",
     "conserved", "dt_stability_bound", "evolve", "h1_norm", "l2_norm",
     "l2_norm_right_of", "sponge_profile",

@@ -10,7 +10,6 @@ linearized energy bookkeeping all live here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -193,7 +192,6 @@ def linearized_energy_form(eps: Field, basis: SolitonBasis) -> float:
 class SpectrumResult:
     lambda_min: float
     eigenvector: Field
-    constrained: bool
     eigen_residual: float  # ||(operator - lambda) w|| for the unit Lanczos vector w
     matvecs: int  # operator applications
     constraint_residuals: dict | None  # max |h<v, Q_{c_j}>|, max |h<v, d_x Q_{c_j}>|
@@ -254,30 +252,7 @@ def constrained_spectrum(state: SolitonState, w: PsiWeight, params: ModelParams,
     if constrained:
         ov = np.abs(grid.spacing * (vec @ C))
         overlaps = {"profile": float(np.max(ov[0::2])), "slope": float(np.max(ov[1::2]))}
-    return SpectrumResult(lam, Field(grid, vec), constrained, eigen_residual, matvecs, overlaps)
-
-
-def write_spectral_certificate(path, result: SpectrumResult, state: SolitonState,
-                               params: ModelParams, grid: Grid,
-                               tolerance: float) -> None:
-    """JSON record of one positivity certificate."""
-    seps = list(np.diff(state.position_array)) if state.n > 1 else []
-    payload = {
-        "p": params.p,
-        "N": state.n,
-        "speeds": list(state.speeds),
-        "separations": [float(s) for s in seps],
-        "lambda_min": result.lambda_min,
-        "constrained": result.constrained,
-        "constraint_residuals": result.constraint_residuals,
-        "eigen_residual": result.eigen_residual,
-        "matvecs": result.matvecs,
-        "grid": {"n": grid.n, "length": grid.length, "x0": grid.x0},
-        "tolerance": tolerance,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return SpectrumResult(lam, Field(grid, vec), eigen_residual, matvecs, overlaps)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,13 @@ CHECKS = {
 }
 
 
+# thresholds that a driver divides or steps by
+_POSITIVE_THRESHOLDS = ("ratio_min", "block_time")
+
+# the list fields of a config, held as tuples of floats
+_LIST_FIELDS = ("speeds", "positions", "alphas", "sweep_separations")
+
+
 @dataclass(frozen=True)
 class GridConfig:
     n: int = 4096
@@ -100,7 +107,6 @@ class GridConfig:
 class TrackSettings:
     enabled: bool = True
     l_min: float = 0.0
-    tol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -127,10 +133,13 @@ class ExperimentConfig:
     thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "speeds", tuple(float(v) for v in self.speeds))
-        object.__setattr__(self, "positions", tuple(float(v) for v in self.positions))
-        object.__setattr__(self, "alphas", tuple(float(v) for v in self.alphas))
-        object.__setattr__(self, "sweep_separations", tuple(float(v) for v in self.sweep_separations))
+        for name in _LIST_FIELDS:
+            value = getattr(self, name)
+            try:  # through numpy, so that a string or a scalar is no list
+                object.__setattr__(self, name, tuple(float(v) for v in np.asarray(value, float)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigValidationError(f"{name} must be a list of numbers, "
+                                            f"got {value!r}") from exc
         validate(self)
 
     def with_updates(self, **kw) -> "ExperimentConfig":
@@ -163,6 +172,9 @@ def _check_common(cfg: ExperimentConfig) -> None:
     if not all(-math.inf < v < math.inf for v in cfg.thresholds.values()):
         _fail(f"thresholds must be finite, got {cfg.thresholds!r}")
     thr = thresholds_for(cfg)
+    for key in _POSITIVE_THRESHOLDS:
+        if key in thr and not thr[key] > 0:
+            _fail(f"thresholds: {key} must be positive, got {thr[key]:g}")
     for lo, hi in (key for _, comparison, key in CHECKS[cfg.family] if comparison == "in-range"):
         if not thr[lo] < thr[hi]:
             _fail(f"thresholds: {lo} = {thr[lo]:g} must be below {hi} = {thr[hi]:g}")
@@ -290,10 +302,8 @@ def thresholds_for(cfg: ExperimentConfig) -> dict:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     d = asdict(cfg)
-    d["speeds"] = list(cfg.speeds)
-    d["positions"] = list(cfg.positions)
-    d["alphas"] = list(cfg.alphas)
-    d["sweep_separations"] = list(cfg.sweep_separations)
+    for name in _LIST_FIELDS:
+        d[name] = list(d[name])
     return d
 
 
@@ -314,9 +324,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if sub_unknown:
                 _fail(f"unknown keys in {key}: {sorted(sub_unknown)}")
             data[key] = cls(**sub)
-    for key in ("speeds", "positions", "alphas", "sweep_separations"):
-        if key in data:
-            data[key] = tuple(data[key])
     try:
         return ExperimentConfig(**data)
     except TypeError as exc:

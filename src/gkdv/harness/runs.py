@@ -22,13 +22,12 @@ from ..errors import (DecompositionFailureError, DegenerateConfigurationError,
                       GkdvError, ParameterError)
 from ..functionals import (PsiWeight, constrained_spectrum,
                            linearized_energy_form, localized_mass_rate_terms,
-                           localized_masses, midpoints, write_spectral_certificate)
+                           localized_masses, midpoints)
 from ..grid import Field
 from ..modulation import decompose, initial_guess, ortho_jacobian
 from ..profiles import (ModelParams, SolitonBasis, SolitonState,
                         kdv_nsoliton_profile, profile_mass_constant,
                         soliton_energy, soliton_sum)
-from ..snapio import write_snapshots
 from ..solver import Trajectory, evolve, h1_norm, l2_norm, l2_norm_right_of
 from .config import CHECKS, ExperimentConfig, config_to_dict, interaction_tail, thresholds_for
 from .perturbations import PerturbationConfig, make_perturbation
@@ -114,7 +113,7 @@ def _report(cfg: ExperimentConfig, results: dict, fits=None, extras=None) -> Run
 
 def _jsonable(o):
     """o with numpy values as Python ones and every NaN or infinity as None,
-    so that report.json is strict JSON."""
+    so that the JSON artifacts are strict JSON."""
     if isinstance(o, (np.ndarray, np.generic)):
         o = o.tolist()
     if isinstance(o, dict):
@@ -126,8 +125,15 @@ def _jsonable(o):
     return o
 
 
+def _write_json(path, payload) -> None:
+    """payload as strict JSON with sorted keys, indented, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def write_report(path, report: RunReport) -> None:
-    payload = {
+    _write_json(path, {
         "family": report.family,
         "label": report.label,
         "passed": bool(report.passed),
@@ -138,10 +144,7 @@ def write_report(path, report: RunReport) -> None:
                   "points": {"x": list(f.xs), "y": list(f.ys)}} for f in report.fits],
         "extras": report.extras,
         "config": report.config,
-    }
-    with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    })
 
 
 def write_series_csv(path, pairs) -> None:
@@ -319,7 +322,7 @@ def _build(cfg: ExperimentConfig):
 def _collector(cfg: ExperimentConfig, params, state) -> DiagnosticsCollector:
     """The collector of a tracked run from state, with the config's tracking
     settings and edge probes."""
-    return DiagnosticsCollector(params, state, l_min=cfg.track.l_min, tol=cfg.track.tol,
+    return DiagnosticsCollector(params, state, l_min=cfg.track.l_min,
                                 y0=cfg.y0, ref_index=cfg.ref_index)
 
 
@@ -375,8 +378,9 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     table["energy"] = traj.energy
     write_series_csv(outdir / "series.csv", list(table.items()))
     if cfg.write_snapshots:
-        write_snapshots(outdir / "snapshots.bin", params.p, grid, cfg.dt,
-                        cfg.cadence, traj.times, traj.fields)
+        np.savez(outdir / "snapshots.npz", t=traj.times,
+                 u=np.array([f.values for f in traj.fields]), p=params.p, n=grid.n,
+                 length=grid.length, x0=grid.x0, dt=cfg.dt, cadence=cfg.cadence)
     return _report(cfg, results, extras=extras)
 
 
@@ -431,8 +435,13 @@ def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     w = PsiWeight(params.p, state.sigma0)
     res_c = constrained_spectrum(state, w, params, grid, constrained=True)
     res_u = constrained_spectrum(state, w, params, grid, constrained=False)
-    write_spectral_certificate(outdir / "certificate.json", res_c, state, params,
-                               grid, thresholds_for(cfg)["lambda_min"])
+    _write_json(outdir / "certificate.json", {
+        "p": params.p, "N": state.n, "speeds": state.speeds,
+        "separations": np.diff(state.position_array), "lambda_min": res_c.lambda_min,
+        "constrained": True, "constraint_residuals": res_c.constraint_residuals,
+        "eigen_residual": res_c.eigen_residual, "matvecs": res_c.matvecs,
+        "grid": {"n": grid.n, "length": grid.length, "x0": grid.x0},
+        "tolerance": thresholds_for(cfg)["lambda_min"]})
     write_series_csv(outdir / "series.csv",
                      [("lambda_constrained", [res_c.lambda_min]),
                       ("lambda_unconstrained", [res_u.lambda_min])])

@@ -110,9 +110,8 @@ def eval_Q(p: int, x, deriv: int = 0):
     Q = amp * s**q
     if deriv == 0:
         return Q
-    t = np.tanh(a * x)
     if deriv == 1:
-        return -a * q * Q * t
+        return -a * q * Q * np.tanh(a * x)
     if deriv == 2:
         return a * a * q * Q * (q - (q + 1) * s * s)
     raise ParameterError(f"deriv must be 0, 1 or 2, got {deriv}")

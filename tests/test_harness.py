@@ -10,7 +10,7 @@ import pytest
 
 from gkdv import (ConfigValidationError, DecompositionFailureError, Field,
                   Grid, ModelParams, ParameterError, StepSizeError, Stepper,
-                  dt_stability_bound, evolve, read_snapshots, soliton_sum)
+                  dt_stability_bound, evolve, soliton_sum)
 from gkdv import solver as solver_mod
 from gkdv.harness import runs as runs_mod
 from gkdv.harness.cli import _FAMILY_PRESET, build_parser, main
@@ -288,6 +288,12 @@ def test_config_rejects_bad_thresholds():
     for lo in (3.0, 2.3):
         with pytest.raises(ConfigValidationError, match="speed_slope_lo = .* must be below"):
             preset("drift-scaling").with_updates(thresholds={"speed_slope_lo": lo})
+    # run_monotonicity divides by ratio_min, run_asymptotic steps by block_time
+    for name, key, value in (("mass-monotonicity", "ratio_min", 0.0),
+                             ("radiation-escape", "block_time", 0.0),
+                             ("radiation-escape", "block_time", -1.0)):
+        with pytest.raises(ConfigValidationError, match=f"{key} must be positive"):
+            preset(name).with_updates(thresholds={key: value})
     assert _cfg(thresholds={"conservation": 1e-9}).thresholds == {"conservation": 1e-9}
 
 
@@ -298,6 +304,12 @@ def test_config_from_dict_errors(tmp_path):
         config_from_dict({"speeds": [1.0]})
     with pytest.raises(ConfigValidationError):
         config_from_dict({"family": "simulate", "grid": {"n": 512, "bogus": 1}})
+    with pytest.raises(ConfigValidationError, match="unknown keys in track"):
+        config_from_dict({"family": "simulate", "track": {"enabled": True, "tol": None}})
+    # a list field holding anything but numbers names the field
+    for speeds in (["a"], "1,2", 5):
+        with pytest.raises(ConfigValidationError, match="speeds must be a list of numbers"):
+            config_from_dict({"family": "simulate", "speeds": speeds})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigValidationError):
@@ -423,9 +435,17 @@ def test_execute_simulate_artifacts(tmp_path, small_sim_cfg):
     assert payload["family"] == "simulate"
     assert payload["config"]["label"] == "small-sim"
     assert payload["extras"]["tracking"] == {"t_failed": None, "error": None}
-    snaps = read_snapshots(tmp_path / "snapshots.bin")
-    assert snaps.times.size == 5
-    assert snaps.grid == Grid(1024, 128.0, -64.0)
+    # the snapshots are those of a direct evolve of the same config, bit for bit
+    cfg = small_sim_cfg
+    grid = cfg.grid.build()
+    traj = evolve(soliton_sum(ModelParams(cfg.p), SolitonState(cfg.speeds, cfg.positions), grid),
+                  cfg.t_final, ModelParams(cfg.p), cfg.dt, cadence=cfg.cadence)
+    with np.load(tmp_path / "snapshots.npz") as snaps:
+        assert snaps["t"].size == 5
+        assert np.array_equal(snaps["t"], traj.times)
+        assert np.array_equal(snaps["u"], [f.values for f in traj.fields])
+        assert Grid(int(snaps["n"]), float(snaps["length"]), float(snaps["x0"])) == grid
+        assert (snaps["p"], snaps["dt"], snaps["cadence"]) == (cfg.p, cfg.dt, cfg.cadence)
 
 
 def test_execute_deterministic(tmp_path, small_sim_cfg):
@@ -454,9 +474,18 @@ def test_execute_spectrum_small(tmp_path):
                            grid=GridConfig(512, 128.0, -64.0))
     report = execute(cfg, tmp_path)
     assert report.passed
-    cert = json.loads((tmp_path / "certificate.json").read_text())
-    assert cert["lambda_min"] > 0.0
+    cert = _strict_json(tmp_path / "certificate.json")
+    assert cert["lambda_min"] == report.extras["lambda_constrained"] > 0.0
     assert cert["constrained"] is True
+    assert (cert["p"], cert["N"]) == (2, 2)
+    assert cert["speeds"] == [1.0, 2.0]
+    assert cert["separations"] == [40.0]
+    assert cert["grid"] == {"n": 512, "length": 128.0, "x0": -64.0}
+    assert cert["tolerance"] == 0.0
+    assert set(cert["constraint_residuals"]) == {"profile", "slope"}
+    assert max(cert["constraint_residuals"].values()) < 1e-12
+    assert cert["eigen_residual"] < 1e-10
+    assert cert["matvecs"] > 0
     assert cert["constraint_residuals"] == report.extras["constraint_residuals"]
     assert cert["eigen_residual"] == report.extras["eigen_residual_constrained"]
     assert cert["matvecs"] == report.extras["matvecs_constrained"]
@@ -881,6 +910,10 @@ def test_cli_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert main(["decompose", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    letters = tmp_path / "letters.json"
+    letters.write_text('{"family": "simulate", "speeds": ["a"]}')
+    assert main(["simulate", "--config", str(letters), "--out", str(tmp_path)]) == 2
+    assert "speeds must be a list of numbers" in capsys.readouterr().err
     other = tmp_path / "spectrum.json"
     save_config(preset("positivity"), other)
     assert main(["decompose", "--config", str(other), "--out", str(tmp_path)]) == 2

@@ -12,7 +12,7 @@ from gkdv import (BlowupError, Field, Grid, ModelParams, ParameterError,
                   SolitonState, SpongeSettings, StepSizeError, Stepper, conserved,
                   dt_stability_bound, eval_Qc, evolve, h1_norm,
                   kdv_nsoliton_profile, l2_norm, l2_norm_right_of,
-                  read_snapshots, soliton_sum, sponge_profile, write_snapshots)
+                  soliton_sum, sponge_profile)
 from gkdv.solver import C_STAB, _int_power
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -449,31 +449,3 @@ def test_sponge_absorbs_escaping_soliton():
     traj = evolve(u0, 12.0, P2, 1e-3, cadence=1.0, sponge=sp)
     assert traj.mass[-1] < 0.3 * traj.mass[0]
 
-
-# ---------------------------------------------------------------------------
-# snapshot container
-
-def test_snapshot_roundtrip(tmp_path):
-    grid = Grid(256, 64.0, -32.0)
-    u0 = soliton_sum(P2, SolitonState((1.0,), (0.0,)), grid)
-    dt, cadence = 1e-3, 0.05
-    traj = evolve(u0, 0.1, P2, dt, cadence=cadence)
-    path = tmp_path / "snapshots.bin"
-    write_snapshots(path, 2, grid, dt, cadence, traj.times, traj.fields)
-    snaps = read_snapshots(path)
-    assert snaps.p == 2
-    assert snaps.grid == grid
-    assert np.array_equal(snaps.times, traj.times)
-    for i, f in enumerate(traj.fields):
-        assert np.array_equal(snaps.values[i], f.values)
-        assert np.array_equal(snaps.field(i).values, f.values)
-
-
-def test_snapshot_bad_container(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-    with pytest.raises(ParameterError):
-        read_snapshots(path)
-    path.write_bytes(b"\x00\x01")
-    with pytest.raises(ParameterError):
-        read_snapshots(path)
