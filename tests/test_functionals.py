@@ -1,5 +1,6 @@
 """Transition weight, localized masses, quadratic forms and their spectrum."""
 
+import json
 import time
 
 import numpy as np
@@ -15,6 +16,8 @@ from gkdv import (Field, Grid, ModelParams, ParameterError, PsiWeight,
                   energy_expansion_residual, eval_Qc, evolve, h1_norm, l2_norm,
                   linearized_energy_form, localized_mass_rate_terms,
                   localized_masses, midpoints, soliton_sum, speed_ramp)
+from gkdv.harness.config import ExperimentConfig, GridConfig
+from gkdv.harness.runs import execute
 from gkdv.profiles import SolitonBasis, _sech
 from psi_quadrature import psi_numeric
 from quadratic_form import bilinear_form
@@ -297,6 +300,30 @@ def test_spectrum_eigenvector_properties(spectrum_pair):
         for d in (0, 1):
             overlap = grid.spacing * float(np.sum(v.values * eval_Qc(2, c, y, d)))
             assert abs(overlap) < 1e-12
+
+
+def test_spectral_certificate_json(tmp_path, spectrum_pair):
+    # a spectrum run's certificate.json carries the constrained result of the
+    # same state and grid, and is strict JSON
+    grid, st, w, res_c, _ = spectrum_pair
+    cfg = ExperimentConfig(family="spectrum", speeds=st.speeds, positions=st.positions,
+                           grid=GridConfig(grid.n, grid.length, grid.x0))
+    execute(cfg, tmp_path)
+    data = json.loads((tmp_path / "certificate.json").read_text(),
+                      parse_constant=lambda c: pytest.fail(f"non-strict JSON constant {c}"))
+    assert data["p"] == 2
+    assert data["N"] == 2
+    assert data["speeds"] == [1.0, 2.0]
+    assert data["separations"] == [40.0]
+    assert data["lambda_min"] == res_c.lambda_min
+    assert data["constrained"] is True
+    assert data["grid"] == {"n": 512, "length": 128.0, "x0": -64.0}
+    assert data["tolerance"] == 0.0
+    assert data["constraint_residuals"] == res_c.constraint_residuals
+    assert set(data["constraint_residuals"]) == {"profile", "slope"}
+    assert max(data["constraint_residuals"].values()) < 1e-12
+    assert data["eigen_residual"] == res_c.eigen_residual < 1e-10
+    assert data["matvecs"] == res_c.matvecs > 0
 
 
 _ORACLE_STATES = {1: SolitonState((1.0,), (0.3,)),

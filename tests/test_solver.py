@@ -13,6 +13,8 @@ from gkdv import (BlowupError, Field, Grid, ModelParams, ParameterError,
                   dt_stability_bound, eval_Qc, evolve, h1_norm,
                   kdv_nsoliton_profile, l2_norm, l2_norm_right_of,
                   soliton_sum, sponge_profile)
+from gkdv.harness.config import ExperimentConfig, GridConfig
+from gkdv.harness.runs import execute
 from gkdv.solver import C_STAB, _int_power
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -449,3 +451,25 @@ def test_sponge_absorbs_escaping_soliton():
     traj = evolve(u0, 12.0, P2, 1e-3, cadence=1.0, sponge=sp)
     assert traj.mass[-1] < 0.3 * traj.mass[0]
 
+
+# ---------------------------------------------------------------------------
+# snapshot container
+
+def test_snapshot_roundtrip(tmp_path):
+    # a simulate run's snapshots.npz holds the fields of a direct evolve of
+    # the same config, bit for bit, with what it takes to rebuild the grid
+    cfg = ExperimentConfig(family="simulate", speeds=(1.0,), positions=(0.0,),
+                           grid=GridConfig(256, 64.0, -32.0), dt=1e-3,
+                           t_final=0.1, cadence=0.05, write_snapshots=True)
+    execute(cfg, tmp_path)
+    grid = Grid(256, 64.0, -32.0)
+    u0 = soliton_sum(P2, SolitonState((1.0,), (0.0,)), grid)
+    traj = evolve(u0, 0.1, P2, 1e-3, cadence=0.05)
+    with np.load(tmp_path / "snapshots.npz") as snaps:
+        assert snaps["p"] == 2
+        assert Grid(int(snaps["n"]), float(snaps["length"]), float(snaps["x0"])) == grid
+        assert (snaps["dt"], snaps["cadence"]) == (1e-3, 0.05)
+        assert np.array_equal(snaps["t"], traj.times)
+        assert snaps["u"].shape == (len(traj.fields), grid.n)
+        for i, f in enumerate(traj.fields):
+            assert np.array_equal(snaps["u"][i], f.values)
