@@ -14,15 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-from scipy.special import beta as beta_fn
-from scipy.special import betainc
 
 from .errors import ParameterError, SpectralFailureError
 from .grid import Field, Grid
 from .modulation import Decomposition
-from .profiles import (ModelParams, SolitonBasis, SolitonState, _check_p, _sech,
-                       soliton_energy)
+from .profiles import (_PROFILE_INTEGRALS, ModelParams, SolitonBasis, SolitonState,
+                       _check_p, _sech, soliton_energy)
 from .solver import _int_power
 
 
@@ -63,9 +60,8 @@ class PsiWeight:
 
     @property
     def c_psi(self) -> float:
-        """Normalization (2 intQ / sqrt(sigma0))^-1 with intQ in closed beta form."""
-        intQ = self.amplitude * beta_fn(0.5, 0.5 * self.q) * 2.0 / (self.p - 1)
-        return math.sqrt(self.sigma0) / (2.0 * intQ)
+        """Normalization (2 intQ / sqrt(sigma0))^-1 with intQ = int Q dx."""
+        return math.sqrt(self.sigma0) / (2.0 * _PROFILE_INTEGRALS[self.p][1])
 
     def _phi(self, x: np.ndarray) -> np.ndarray:
         return self._phi_of(_sech(self.b * x))
@@ -100,6 +96,7 @@ class PsiWeight:
         elif self.p == 3:
             tail = (2.0 / np.pi) * np.arctan(np.exp(-np.abs(self.b * x)))
         else:
+            from scipy.special import betainc
             # swapped-argument incomplete beta: sech^2 stays accurate where
             # tanh^2 would round to 1 and silently drop the far tail
             tail = 0.5 * betainc(0.5 * self.q, 0.5, _sech(self.b * x) ** 2)
@@ -208,6 +205,7 @@ def constrained_spectrum(state: SolitonState, w: PsiWeight, params: ModelParams,
     Q an orthonormal basis of S C for the constraint columns C, P = I - Q Q^T;
     sigma = 1 + max|V| >= ||A|| lifts span(Q) to the top of the spectrum.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     _require_sorted_positions(state)
     n = grid.n
     k2 = grid.wavenumbers**2

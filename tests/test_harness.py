@@ -320,6 +320,20 @@ def test_config_from_dict_errors(tmp_path):
         load_config(arr)
 
 
+@pytest.mark.parametrize("key, value", [("grid", [512]), ("sponge", "on"),
+                                        ("perturbation", None), ("track", True)])
+def test_config_rejects_a_sub_config_that_is_no_object(key, value, tmp_path, capsys):
+    # a validation error naming the key, not an AttributeError in a later
+    # build, and never a config that validates with track: true
+    data = {"family": "simulate", key: value}
+    with pytest.raises(ConfigValidationError, match=f"^{key} must be an object with keys"):
+        config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be an object" in capsys.readouterr().err
+
+
 def test_config_to_dict_is_json_ready():
     d = config_to_dict(preset("drift-scaling"))
     json.dumps(d)

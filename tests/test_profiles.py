@@ -1,5 +1,6 @@
 """Ground profile, rescaling laws, sampled sums, and the exact p=2 family."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import beta
 
 from gkdv import (DomainTooSmallError, Field, Grid, ModelParams, ParameterError,
-                  SolitonState, UnsupportedModelError, eval_Q, eval_Qc,
+                  PsiWeight, SolitonState, UnsupportedModelError, eval_Q, eval_Qc,
                   kdv_nsoliton_profile, profile_mass_constant,
                   sigma0_of_speeds, soliton_energy, soliton_sum)
 from gkdv.profiles import SolitonBasis
@@ -127,18 +128,52 @@ def test_mass_constant(p, frozen):
     assert abs(profile_mass_constant(p) - oracle) < 1e-12
 
 
-def test_harness_import_loads_no_quadrature_or_optimizer():
-    # the profile constants are closed-form, so a fresh interpreter that
-    # imports the harness loads neither scipy.integrate nor scipy.optimize
+@pytest.mark.parametrize("p", ALL_P)
+def test_profile_integrals_equal_the_beta_forms_bit_for_bit(p):
+    # int Q^2 and int Q come from a table; it holds what the closed beta
+    # forms give, so the mass constant and c_psi keep every bit
+    amp, a, q = ((p + 1) / 2.0) ** (1.0 / (p - 1)), 0.5 * (p - 1), 2.0 / (p - 1)
+    assert profile_mass_constant(p) == float(amp**2 * beta(q, 0.5) / a)
+    int_q = amp * beta(0.5, 0.5 * q) * 2.0 / (p - 1)
+    for sigma0 in (0.5, 1.0, 0.0123):
+        assert PsiWeight(p, sigma0).c_psi == math.sqrt(sigma0) / (2.0 * int_q)
+
+
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded in a fresh interpreter after code runs, as printed."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, gkdv.harness; print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy.integrate', 'scipy.optimize'))))")
+    code += ("\nimport sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_harness_import_loads_no_scipy():
+    # the profile constants come from a table and the spectrum and p = 4 psi
+    # import their scipy routines when called, so the harness loads no scipy
+    assert _scipy_modules_after("import gkdv.harness") == "[]"
+
+
+def test_tracked_simulate_and_stability_sweep_load_no_scipy(tmp_path):
+    code = f"""
+from gkdv.harness import ExperimentConfig, GridConfig, PerturbationConfig, execute
+grid = GridConfig(1024, 128.0, -64.0)
+bump = PerturbationConfig(kind="bump", amplitude=1e-2, width=5.0, location="gap:1")
+execute(ExperimentConfig(family="simulate", p=2, speeds=(1.0, 2.0), positions=(-30.0, 10.0),
+                         grid=grid, dt=1e-3, t_final=0.2, cadence=0.1, y0=20.0),
+        {str(tmp_path / "simulate")!r})
+execute(ExperimentConfig(family="stability", p=3, speeds=(1.0, 2.0), positions=(-30.0, 10.0),
+                         grid=grid, dt=1e-3, t_final=0.2, cadence=0.1, perturbation=bump,
+                         alphas=(0.0, 1e-2)),
+        {str(tmp_path / "stability")!r})
+"""
+    assert _scipy_modules_after(code) == "[]"
+    for family in ("simulate", "stability"):
+        assert (tmp_path / family / "series.csv").exists()
 
 
 def _sech_moments(p: int):
