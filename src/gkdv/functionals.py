@@ -96,10 +96,16 @@ class PsiWeight:
         elif self.p == 3:
             tail = (2.0 / np.pi) * np.arctan(np.exp(-np.abs(self.b * x)))
         else:
-            from scipy.special import betainc
+            from scipy.special import beta, betainc
             # swapped-argument incomplete beta: sech^2 stays accurate where
             # tanh^2 would round to 1 and silently drop the far tail
-            tail = 0.5 * betainc(0.5 * self.q, 0.5, _sech(self.b * x) ** 2)
+            s2 = _sech(self.b * x) ** 2
+            tail = np.asarray(0.5 * betainc(0.5 * self.q, 0.5, s2))
+            # subnormal sech^2 (b|x| > 354): its leading term s^q / (q B(q/2, 1/2)), in logs
+            far = s2 < np.finfo(np.float64).tiny
+            bx = np.abs(self.b * x[far])
+            tail[far] = (2.0**self.q / (self.q * beta(0.5 * self.q, 0.5))
+                         * np.exp(-self.q * (bx + np.log1p(np.exp(-2.0 * bx)))))
         return np.where(x < 0, tail, 1.0 - tail)
 
 
@@ -189,9 +195,17 @@ def linearized_energy_form(eps: Field, basis: SolitonBasis) -> float:
 class SpectrumResult:
     lambda_min: float
     eigenvector: Field
-    eigen_residual: float  # ||(operator - lambda) w|| for the unit Lanczos vector w
+    eigen_residual: float  # ||(operator - lambda) z|| for the unit Lanczos vector z; same in w
     matvecs: int  # operator applications
     constraint_residuals: dict | None  # max |h<v, Q_{c_j}>|, max |h<v, d_x Q_{c_j}>|
+
+
+def _real_modes(spectra: np.ndarray) -> np.ndarray:
+    """rfft output (last axis) as n reals Re 0, Re 1, Im 1, ..., Im n/2-1, Re n/2: a
+    view, with Re 0 written over Im 0, which like Im n/2 is always zero."""
+    r = spectra.view(np.float64)
+    r[..., 1] = r[..., 0]
+    return r[..., 1:-1]
 
 
 def constrained_spectrum(state: SolitonState, w: PsiWeight, params: ModelParams,
@@ -201,9 +215,11 @@ def constrained_spectrum(state: SolitonState, w: PsiWeight, params: ModelParams,
     profile and profile slope.
 
     With S = (1 - d2/dx2)^(-1/2), diagonal in Fourier space, the pencil becomes
-    A w = lambda w with A = S H S and v = S w. Lanczos runs on P A P + sigma Q Q^T,
-    Q an orthonormal basis of S C for the constraint columns C, P = I - Q Q^T;
-    sigma = 1 + max|V| >= ||A|| lifts span(Q) to the top of the spectrum.
+    A w = lambda w with A = S H S and v = S w. Lanczos runs on z, the n real
+    coordinates of rfft(w) scaled so that |z| = |w|, and on P A P + sigma Q Q^T:
+    Q an orthonormal basis of S C in z for the constraint columns C, P = I - Q Q^T;
+    sigma = 1 + max|V| >= ||A|| lifts span(Q) to the top of the spectrum. S and
+    -d2 S^2 are diagonal in z, so one application of A is irfft, times V, rfft.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     _require_sorted_positions(state)
@@ -211,25 +227,34 @@ def constrained_spectrum(state: SolitonState, w: PsiWeight, params: ModelParams,
     k2 = grid.wavenumbers**2
     k2[-1] = 0.0  # Nyquist; grid sizes are even
     s_hat = 1.0 / np.sqrt(1.0 + k2)
+    # z scales Re and Im of mode k by d = sqrt(2/n), modes 0 and n/2 by sqrt(1/n);
+    # multipliers on z, Im parts included: S then unscale, scale then S, -d2 S^2
+    d_hat = np.sqrt(np.r_[1.0, np.full(k2.size - 2, 2.0), 1.0] / n)
+    sx, sz, kz = (np.repeat(f, 2)[1:-1] for f in (s_hat / d_hat, s_hat * d_hat, k2 / (1 + k2)))
     basis = SolitonBasis(params, state, grid)
     V = -params.p * basis.total ** (params.p - 1) + speed_ramp(state, w, grid)
     sigma = 1.0 + float(np.max(np.abs(V)))
     Q = np.zeros((n, 0))
     if constrained:
-        C = np.empty((n, 2 * state.n))  # columns R_1, (R_1)_x, R_2, (R_2)_x, ...
-        C[:, 0::2], C[:, 1::2] = basis.R.T, basis.Rx.T
-        Q = np.linalg.qr(np.fft.irfft(s_hat[:, None] * np.fft.rfft(C, axis=0), n, axis=0))[0]
+        C = np.stack((basis.R, basis.Rx), axis=1).reshape(-1, n)  # R_1, (R_1)_x, R_2, ...
+        Q = np.linalg.qr((sz * _real_modes(np.fft.rfft(C))).T)[0]
+    spectrum = np.zeros(n + 2)  # float64 view of the n/2 + 1 complex modes
     matvecs, best = 0, math.inf  # best: smallest Rayleigh residual, reported on failure
+
+    def S(z):  # S w on the grid for the w with coordinates z; Im 0, Im n/2 stay 0
+        spectrum[1:-1] = sx * z
+        spectrum[0], spectrum[1] = spectrum[1], 0.0
+        return np.fft.irfft(spectrum.view(np.complex128), n)
 
     def matvec(x):
         nonlocal matvecs, best
         matvecs += 1
         x = np.ravel(x)
-        Qx = Q @ (Q.T @ x)
-        xh = np.fft.rfft(x - Qx)
-        Sx = np.fft.irfft(s_hat * xh, n)
-        Ax = np.fft.irfft(k2 / (1.0 + k2) * xh + s_hat * np.fft.rfft(V * Sx), n)
-        y = Ax - Q @ (Q.T @ Ax) + sigma * Qx
+        Qx = Q @ (Q.T @ x) if constrained else 0.0
+        px = x - Qx
+        y = kz * px + sz * _real_modes(np.fft.rfft(V * S(px)))
+        if constrained:
+            y += sigma * Qx - Q @ (Q.T @ y)
         best = min(best, float(np.linalg.norm(y - (x @ y) / (x @ x) * x) / np.linalg.norm(x)))
         return y
 
@@ -244,11 +269,11 @@ def constrained_spectrum(state: SolitonState, w: PsiWeight, params: ModelParams,
             f"reached {best:.3e}") from exc
     lam, wv = float(vals[0]), vecs[:, 0]
     eigen_residual = float(np.linalg.norm(matvec(wv) - lam * wv))
-    vec = np.fft.irfft(s_hat * np.fft.rfft(wv), n)
+    vec = S(wv)
     vec /= math.sqrt(grid.spacing * float(vec @ vec))
     overlaps = None
     if constrained:
-        ov = np.abs(grid.spacing * (vec @ C))
+        ov = np.abs(grid.spacing * (C @ vec))
         overlaps = {"profile": float(np.max(ov[0::2])), "slope": float(np.max(ov[1::2]))}
     return SpectrumResult(lam, Field(grid, vec), eigen_residual, matvecs, overlaps)
 

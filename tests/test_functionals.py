@@ -115,6 +115,21 @@ def test_psi_p4_is_the_betainc_form(s0):
     assert np.array_equal(w.psi(xs), _psi_betainc(w, xs))
 
 
+@pytest.mark.parametrize("s0", [0.25, 0.5, 1.0])
+def test_psi_p4_far_tail_matches_the_long_double_asymptote(s0):
+    # sech^2(b x) is subnormal beyond b|x| = 354, where betainc alone loses the
+    # tail (exactly 0 by b|x| = 375). There psi(-|x|) is c_psi A 2^q e^(-q b|x|)
+    # / (q b) to relative O(e^(-2 b|x|)). The range crosses the switch and
+    # reaches psi ~ 1e-260; the reference takes b|x| as psi forms it in float64.
+    # Measured: 9.0e-16 where betainc runs, 4.7e-14 beyond
+    w = PsiWeight(4, s0)
+    xs = -np.linspace(200.0, 900.0, 7001) / w.b
+    L, q = np.longdouble, np.longdouble(w.q)
+    ref = (L(w.c_psi) * L(w.amplitude) * 2**q / (q * L(w.b))
+           * np.exp(-q * np.abs(w.b * xs).astype(L)))
+    assert float(np.max(np.abs(w.psi(xs).astype(L) / ref - 1))) < 1e-13
+
+
 def test_psi_derivatives_consistent():
     w = PsiWeight(2, 0.5)
     xs = np.linspace(-25.0, 25.0, 101)
@@ -373,6 +388,38 @@ def test_spectrum_five_solitons_at_n8192():
     lam_u = constrained_spectrum(st, w, params, grid, constrained=False).lambda_min
     assert lam_c > 0.0 > lam_u
     assert time.monotonic() - t0 < 5.0
+
+
+def test_spectrum_makes_two_transforms_per_operator_application(monkeypatch):
+    # irfft, times V, rfft per application; beyond them only the constraint
+    # rows' batched rfft and the eigenvector's irfft
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    grid = Grid(512, 128.0, -64.0)
+    st = SolitonState((1.0, 2.0), (-20.0, 20.0))
+    for constrained in (True, False):
+        calls.clear()
+        res = constrained_spectrum(st, PsiWeight(P2.p, st.sigma0), P2, grid, constrained)
+        assert 0 < len(calls) <= 2 * res.matvecs + 2
+
+
+@pytest.mark.parametrize("constrained,lam", [(True, 0.19355982040242578),
+                                             (False, -6.10487458192755)])
+def test_spectrum_at_the_scan_geometry(constrained, lam):
+    # the spectrum-scan benchmark's p = 4, N = 3 case at its base positions;
+    # frozen references from the Lanczos run on w itself, before it moved to z
+    grid = Grid(2048, 256.0, -128.0)
+    params = ModelParams(4)
+    st = SolitonState((1.0, 2.0, 3.0), (-40.0, 0.0, 40.0))
+    res = constrained_spectrum(st, PsiWeight(params.p, st.sigma0), params, grid, constrained)
+    assert abs(res.lambda_min - lam) <= 1e-12
+    assert res.eigen_residual < 1e-12
+    if constrained:
+        assert max(res.constraint_residuals.values()) < 1e-12
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
