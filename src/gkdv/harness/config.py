@@ -206,7 +206,8 @@ def _check_common(cfg: ExperimentConfig) -> None:
     # a field that the family never reads would be silently ignored
     for name, readers in (("alphas", ("stability", "quadratic-control")),
                           ("sweep_separations", ("monotonicity",)),
-                          ("y0", ("simulate", "monotonicity", "asymptotic"))):
+                          ("y0", ("simulate", "monotonicity", "asymptotic")),
+                          ("write_snapshots", ("simulate",))):
         if getattr(cfg, name) and cfg.family not in readers:
             _fail(f"{name} is read only by {' and '.join(readers)}, not by {cfg.family}")
     if cfg.ref_index is not None and cfg.y0 is None:

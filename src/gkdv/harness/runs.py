@@ -1,10 +1,11 @@
 """Drivers for the experiment families.
 
 Each driver builds initial data, evolves it while streaming per-snapshot
-diagnostics, measures what its checks in config.CHECKS read, and writes
-series.csv (full time series) plus any family-specific artifacts into the
-output directory. execute() dispatches on the config family and writes the
-final report.json.
+diagnostics and measures what its checks in config.CHECKS read. Drivers only
+measure: each returns its results, fits and extras, and its artifacts keyed
+by file name, series.csv (the full time series) plus any family-specific
+file. execute() dispatches on the config family, builds the report and
+writes every artifact and report.json, so a run that raises writes nothing.
 """
 
 from __future__ import annotations
@@ -103,12 +104,11 @@ def _checks(cfg: ExperimentConfig, results: dict) -> list:
     return checks
 
 
-def _report(cfg: ExperimentConfig, results: dict, fits=None, extras=None) -> RunReport:
+def _report(cfg: ExperimentConfig, results: dict, fits: list, extras: dict) -> RunReport:
     checks = _checks(cfg, results)
     return RunReport(family=cfg.family, label=cfg.label,
                      passed=all(c.passed for c in checks), checks=checks,
-                     fits=fits or [], extras=extras or {},
-                     config=config_to_dict(cfg))
+                     fits=fits, extras=extras, config=config_to_dict(cfg))
 
 
 def _jsonable(o):
@@ -349,7 +349,7 @@ def _log_slope(xs, ys) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # family drivers
 
-def run_simulate(cfg: ExperimentConfig, outdir: Path) -> RunReport:
+def run_simulate(cfg: ExperimentConfig):
     params, grid, state = _build(cfg)
     u0 = _initial_field(cfg.perturbation, params, grid, state)
     collector = _collector(cfg, params, state) if cfg.track.enabled else None
@@ -376,15 +376,15 @@ def run_simulate(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         table = {"t": traj.times}
     table["mass"] = traj.mass
     table["energy"] = traj.energy
-    write_series_csv(outdir / "series.csv", list(table.items()))
+    artifacts = {"series.csv": list(table.items())}
     if cfg.write_snapshots:
-        np.savez(outdir / "snapshots.npz", t=traj.times,
-                 u=np.array([f.values for f in traj.fields]), p=params.p, n=grid.n,
-                 length=grid.length, x0=grid.x0, dt=cfg.dt, cadence=cfg.cadence)
-    return _report(cfg, results, extras=extras)
+        artifacts["snapshots.npz"] = dict(
+            t=traj.times, u=np.array([f.values for f in traj.fields]), p=params.p,
+            n=grid.n, length=grid.length, x0=grid.x0, dt=cfg.dt, cadence=cfg.cadence)
+    return results, [], extras, artifacts
 
 
-def run_decompose(cfg: ExperimentConfig, outdir: Path) -> RunReport:
+def run_decompose(cfg: ExperimentConfig):
     params, grid, state = _build(cfg)
     u0 = _initial_field(cfg.perturbation, params, grid, state)
     thr = thresholds_for(cfg)
@@ -423,41 +423,40 @@ def run_decompose(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     pairs += [(f"x{j + 1}", [dec.state.positions[j]]) for j in range(n)]
     pairs += [("eps_l2", [l2_norm(dec.epsilon)]), ("eps_h1", [h1_norm(dec.epsilon)]),
               ("max_ortho_residual", [res]), ("newton_iterations", [float(dec.iterations)])]
-    write_series_csv(outdir / "series.csv", pairs)
     extras = {"jacobian_diagonal": diag_pairs,
               "recovered_speeds": list(dec.state.speeds),
               "recovered_positions": list(dec.state.positions)}
-    return _report(cfg, results, extras=extras)
+    return results, [], extras, {"series.csv": pairs}
 
 
-def run_spectrum(cfg: ExperimentConfig, outdir: Path) -> RunReport:
+def run_spectrum(cfg: ExperimentConfig):
     params, grid, state = _build(cfg)
     w = PsiWeight(params.p, state.sigma0)
     res_c = constrained_spectrum(state, w, params, grid, constrained=True)
     res_u = constrained_spectrum(state, w, params, grid, constrained=False)
-    _write_json(outdir / "certificate.json", {
+    certificate = {
         "p": params.p, "N": state.n, "speeds": state.speeds,
         "separations": np.diff(state.position_array), "lambda_min": res_c.lambda_min,
         "constrained": True, "constraint_residuals": res_c.constraint_residuals,
         "eigen_residual": res_c.eigen_residual, "matvecs": res_c.matvecs,
         "grid": {"n": grid.n, "length": grid.length, "x0": grid.x0},
-        "tolerance": thresholds_for(cfg)["lambda_min"]})
-    write_series_csv(outdir / "series.csv",
-                     [("lambda_constrained", [res_c.lambda_min]),
-                      ("lambda_unconstrained", [res_u.lambda_min])])
+        "tolerance": thresholds_for(cfg)["lambda_min"]}
+    series = [("lambda_constrained", [res_c.lambda_min]),
+              ("lambda_unconstrained", [res_u.lambda_min])]
     results = {"constrained-positive": (res_c.lambda_min, ""),
                "unconstrained-negative": (res_u.lambda_min, "", 0.0)}
-    return _report(cfg, results, extras={"lambda_constrained": res_c.lambda_min,
-                                        "lambda_unconstrained": res_u.lambda_min,
-                                        "constraint_residuals": res_c.constraint_residuals,
-                                        "eigen_residual_constrained": res_c.eigen_residual,
-                                        "eigen_residual_unconstrained": res_u.eigen_residual,
-                                        "matvecs_constrained": res_c.matvecs,
-                                        "matvecs_unconstrained": res_u.matvecs})
+    extras = {"lambda_constrained": res_c.lambda_min,
+              "lambda_unconstrained": res_u.lambda_min,
+              "constraint_residuals": res_c.constraint_residuals,
+              "eigen_residual_constrained": res_c.eigen_residual,
+              "eigen_residual_unconstrained": res_u.eigen_residual,
+              "matvecs_constrained": res_c.matvecs,
+              "matvecs_unconstrained": res_u.matvecs}
+    return results, [], extras, {"certificate.json": certificate, "series.csv": series}
 
 
-def _sweep(cfg: ExperimentConfig, params, outdir: Path, key: str, limbs, build, measure):
-    """Evolve every limb of a sweep as one stack and write series.csv.
+def _sweep(cfg: ExperimentConfig, params, key: str, limbs, build, measure):
+    """Evolve every limb of a sweep as one stack.
 
     build(limb) gives the limb's (u0, collector) and measure(collector) its
     per-limb result. A GkdvError while building, evolving or measuring a limb
@@ -466,8 +465,8 @@ def _sweep(cfg: ExperimentConfig, params, outdir: Path, key: str, limbs, build, 
     on. Returns [(limb, collector, result)] for the measured limbs, and the
     report extras "failures" (the failure records) and "tracking" (each
     evolved limb's tracker failure, see DiagnosticsCollector.tracking), both
-    in limb order. The series tables of the evolved limbs are concatenated
-    under a `key` column.
+    in limb order, and the artifacts: the series tables of the evolved limbs
+    concatenated under a `key` column as series.csv, when any limb evolved.
     """
     outcomes = []                                   # per limb: (u0, collector) or its error
     for limb in limbs:
@@ -505,10 +504,8 @@ def _sweep(cfg: ExperimentConfig, params, outdir: Path, key: str, limbs, build, 
         table = collector.table(traj)
         for k, v in {key: np.full(table["t"].size, limb), **table}.items():
             columns.setdefault(k, []).append(v)
-    if columns:
-        write_series_csv(outdir / "series.csv",
-                         [(k, np.concatenate(v)) for k, v in columns.items()])
-    return done, extras
+    series = [(k, np.concatenate(v)) for k, v in columns.items()]
+    return done, extras, {"series.csv": series} if series else {}
 
 
 def _amplitude_limb(cfg: ExperimentConfig, params, grid, state, alpha: float):
@@ -525,7 +522,7 @@ def _sup_speed_drift(collector: DiagnosticsCollector) -> float:
     return float(np.max(np.sum(np.abs(speeds - speeds[0]), axis=1)))
 
 
-def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
+def run_stability(cfg: ExperimentConfig):
     """Amplitude limbs at fixed geometry: the tracked distance to the
     frozen-speed soliton family must stay solver-small for the unperturbed
     limb and linearly bounded in the perturbation size for the others."""
@@ -536,8 +533,9 @@ def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         return (float(np.max(collector.tracked("dist_frozen_h1")[1])),
                 _sup_speed_drift(collector))
 
-    limbs, records = _sweep(cfg, params, outdir, "alpha", alphas,
-                            partial(_amplitude_limb, cfg, params, grid, state), measure)
+    limbs, records, artifacts = _sweep(cfg, params, "alpha", alphas,
+                                       partial(_amplitude_limb, cfg, params, grid, state),
+                                       measure)
     done = [alpha for alpha, _, _ in limbs]
     sup_dist, sup_dc = ([r[i] for _, _, r in limbs] for i in range(2))
 
@@ -568,10 +566,10 @@ def run_stability(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     extras = {"alphas": done, "sup_dist_frozen": sup_dist,
               "sup_speed_drift": sup_dc, "gamma0": gamma0,
               "gap": gap, "tail": tail, "A0_fit": a0_fit, **records}
-    return _report(cfg, results, extras=extras)
+    return results, [], extras, artifacts
 
 
-def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
+def run_monotonicity(cfg: ExperimentConfig):
     params = ModelParams(cfg.p)
     thr = thresholds_for(cfg)
     grid = cfg.grid.build()
@@ -589,8 +587,8 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         jl, jr = (collector.tracked(key, baseline=True)[1] for key in ("j_left", "j_right"))
         return increase, (float(np.max(jr - jr[0])), float(np.max(jl[0] - jl)))
 
-    limbs, records = _sweep(cfg, params, outdir, "separation", cfg.sweep_separations,
-                            build, measure)
+    limbs, records, artifacts = _sweep(cfg, params, "separation", cfg.sweep_separations,
+                                       build, measure)
     seps = [sep for sep, _, _ in limbs]
     increases = [inc for _, _, (inc, _) in limbs]
 
@@ -646,15 +644,15 @@ def run_monotonicity(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         for i in range(masses.shape[1]):
             ident_pairs += [(f"I{i + 2}", masses[:, i]), (f"dIdt{i + 2}", lhs[:, i]),
                             (f"rhs{i + 2}", rhs[:, i])]
-        write_series_csv(outdir / "identity.csv", ident_pairs)
+        artifacts["identity.csv"] = ident_pairs
 
     extras = {"separations": seps, "max_increases": increases,
               "bound_constant": k_fit, "tail_anchor": anchor,
               "identity_sup_error": err, "identity_scale": scale, **records}
-    return _report(cfg, results, extras=extras)
+    return results, [], extras, artifacts
 
 
-def run_quadratic_control(cfg: ExperimentConfig, outdir: Path) -> RunReport:
+def run_quadratic_control(cfg: ExperimentConfig):
     params, grid, state = _build(cfg)
     thr = thresholds_for(cfg)
 
@@ -662,8 +660,9 @@ def run_quadratic_control(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         eps_series = collector.tracked("eps_h1", baseline=True)[1]
         return (_sup_speed_drift(collector), float(np.max(eps_series)), float(eps_series[0]))
 
-    limbs, records = _sweep(cfg, params, outdir, "alpha", cfg.alphas,
-                            partial(_amplitude_limb, cfg, params, grid, state), measure)
+    limbs, records, artifacts = _sweep(cfg, params, "alpha", cfg.alphas,
+                                       partial(_amplitude_limb, cfg, params, grid, state),
+                                       measure)
     done = [alpha for alpha, _, _ in limbs]
     sup_dc, sup_eps, eps0 = ([r[i] for _, _, r in limbs] for i in range(3))
 
@@ -687,17 +686,17 @@ def run_quadratic_control(cfg: ExperimentConfig, outdir: Path) -> RunReport:
         results["remainder-scaling"] = (None, "fewer than 3 amplitudes completed")
     extras = {"alphas": done, "sup_speed_drift": sup_dc,
               "sup_eps_h1": sup_eps, "eps_h1_initial": eps0, **records}
-    return _report(cfg, results, fits=fits, extras=extras)
+    return results, fits, extras, artifacts
 
 
-def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
+def run_asymptotic(cfg: ExperimentConfig):
     params, grid, state = _build(cfg)
     thr = thresholds_for(cfg)
     u0 = _initial_field(cfg.perturbation, params, grid, state)
     collector = _collector(cfg, params, state)
     traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
                   sponge=cfg.sponge, observer=collector, keep_fields=False)
-    write_series_csv(outdir / "series.csv", list(collector.table(traj).items()))
+    artifacts = {"series.csv": list(collector.table(traj).items())}
     try:
         plateau = collector.tracked("c", 0.75 * cfg.t_final)[1]
         times, ray = collector.tracked("eps_l2_ray")
@@ -705,7 +704,7 @@ def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
                               for key in ("eps_h1_ahead", "j_left", "j_right", "c"))
     except TrackingGapError as exc:
         results = {name: (None, str(exc)) for name, _, _ in CHECKS[cfg.family]}
-        return _report(cfg, results, extras={"tracking": collector.tracking()})
+        return results, [], {"tracking": collector.tracking()}, artifacts
 
     results = {"speed-plateau": (None, "too few tracked snapshots in the final quarter")
                if plateau.shape[0] < 8 else (float(np.max(np.std(plateau, axis=0))), "")}
@@ -746,13 +745,11 @@ def run_asymptotic(cfg: ExperimentConfig, outdir: Path) -> RunReport:
               "j_left_first_last": [float(jl[0]), float(jl[-1])] if jl.size else [],
               "j_right_first_last": [float(jr[0]), float(jr[-1])] if jr.size else [],
               "final_speeds": list(speeds[-1]) if speeds.size else []}
-    return _report(cfg, results, extras=extras)
+    return results, [], extras, artifacts
 
 
-def run_nsoliton(cfg: ExperimentConfig, outdir: Path) -> RunReport:
+def run_nsoliton(cfg: ExperimentConfig):
     params, grid, _ = _build(cfg)
-    speeds = np.asarray(cfg.speeds)
-    phases = np.asarray(cfg.positions)
     u0 = kdv_nsoliton_profile(cfg.speeds, cfg.positions, 0.0, grid, p=cfg.p)
 
     dists = []
@@ -766,31 +763,16 @@ def run_nsoliton(cfg: ExperimentConfig, outdir: Path) -> RunReport:
     max_dist = float(np.max(dists))
     results = {"profile-distance": (max_dist, "")}
 
-    # refit speeds and phase parameters against the evolved endpoint
-    from scipy.optimize import least_squares
-
-    def residual(theta):
-        c = np.sort(theta[: speeds.size])
-        y = theta[speeds.size:]
-        ref = kdv_nsoliton_profile(tuple(c), tuple(y), cfg.t_final, grid, p=cfg.p)
-        return ref.values - traj.final.values
-
-    theta0 = np.concatenate([speeds, phases])
-    lower = np.concatenate([np.full(speeds.size, 1e-6), np.full(phases.size, -np.inf)])
-    upper = np.full(theta0.size, np.inf)
-    sol = least_squares(residual, theta0, bounds=(lower, upper), xtol=1e-14,
-                        ftol=1e-14, gtol=1e-14)
-    c_fit = np.sort(sol.x[: speeds.size])
-    dc = float(np.max(np.abs(c_fit - speeds)))
+    # refit the speeds at the evolved endpoint, seeded by peak detection
+    fit = decompose(traj.final, initial_guess(traj.final, len(cfg.speeds), params), params).state
+    dc = float(np.max(np.abs(np.sort(fit.speed_array) - np.sort(cfg.speeds))))
     results["refit-speeds"] = (dc, "")
 
-    write_series_csv(outdir / "series.csv",
-                     [("t", traj.times), ("l2_distance", np.asarray(dists)),
-                      ("mass", traj.mass), ("energy", traj.energy)])
-    extras = {"max_l2_distance": max_dist, "refit_speeds": list(c_fit),
-              "refit_phases": list(sol.x[speeds.size:]),
-              "final_l2_distance": dists[-1]}
-    return _report(cfg, results, extras=extras)
+    series = [("t", traj.times), ("l2_distance", np.asarray(dists)),
+              ("mass", traj.mass), ("energy", traj.energy)]
+    extras = {"max_l2_distance": max_dist, "refit_speeds": list(fit.speeds),
+              "refit_positions": list(fit.positions), "final_l2_distance": dists[-1]}
+    return results, [], extras, {"series.csv": series}
 
 
 _DISPATCH = {
@@ -806,9 +788,20 @@ _DISPATCH = {
 
 
 def execute(cfg: ExperimentConfig, outdir) -> RunReport:
-    """Run one experiment family, writing series.csv and report.json."""
+    """Run one experiment family and write its artifacts, each by its
+    suffix (.csv series, .json strict JSON, .npz numpy archive), and then
+    report.json into outdir. Only here are files written: a run that raises
+    leaves no artifact of its own."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    report = _DISPATCH[cfg.family](cfg, outdir)
+    results, fits, extras, artifacts = _DISPATCH[cfg.family](cfg)
+    report = _report(cfg, results, fits, extras)
+    for name, payload in artifacts.items():
+        if name.endswith(".csv"):
+            write_series_csv(outdir / name, payload)
+        elif name.endswith(".json"):
+            _write_json(outdir / name, payload)
+        else:
+            np.savez(outdir / name, **payload)
     write_report(outdir / "report.json", report)
     return report

@@ -1,5 +1,6 @@
 """Experiment harness: configs, perturbations, drivers, report, CLI."""
 
+import inspect
 import json
 import sys
 from functools import partial
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkdv import (ConfigValidationError, DecompositionFailureError, Field,
-                  Grid, ModelParams, ParameterError, StepSizeError, Stepper,
+from gkdv import (BlowupError, ConfigValidationError, DecompositionFailureError,
+                  Field, Grid, ModelParams, ParameterError, StepSizeError, Stepper,
                   dt_stability_bound, evolve, soliton_sum)
 from gkdv import solver as solver_mod
 from gkdv.harness import runs as runs_mod
@@ -130,6 +131,9 @@ def test_config_rejects_sweep_fields_the_family_ignores():
             preset(name).with_updates(y0=25.0, ref_index=0)
     with pytest.raises(ConfigValidationError, match="ref_index"):
         _cfg(ref_index=0)
+    # only simulate writes snapshots.npz
+    with pytest.raises(ConfigValidationError, match="write_snapshots is read only by simulate"):
+        preset("stability-bound").with_updates(write_snapshots=True)
     # the sweep families and asymptotic always track, and an untracked
     # simulate run writes no edge probes
     untracked = TrackSettings(enabled=False)
@@ -443,7 +447,7 @@ def test_execute_simulate_artifacts(tmp_path, small_sim_cfg):
     assert report.passed
     assert {c.name for c in report.checks} == {"mass-drift", "energy-drift",
                                                "propagation-error"}
-    assert (tmp_path / "series.csv").exists()
+    assert _files(tmp_path) == ["report.json", "series.csv", "snapshots.npz"]
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["passed"] is True
     assert payload["family"] == "simulate"
@@ -471,6 +475,7 @@ def test_execute_decompose_preset(tmp_path):
     names = {c.name for c in report.checks}
     assert names == {"speed-recovery", "ortho-residual", "jacobian-diagonal",
                      "guess-free-agreement"}
+    assert _files(tmp_path) == ["report.json", "series.csv"]
     header = (tmp_path / "series.csv").read_text().splitlines()[0]
     assert header.startswith("t,c1,c2,c3,x1,x2,x3,eps_l2,eps_h1")
 
@@ -481,6 +486,7 @@ def test_execute_spectrum_small(tmp_path):
                            grid=GridConfig(512, 128.0, -64.0))
     report = execute(cfg, tmp_path)
     assert report.passed
+    assert _files(tmp_path) == ["certificate.json", "report.json", "series.csv"]
     cert = _strict_json(tmp_path / "certificate.json")
     assert cert["lambda_min"] == report.extras["lambda_constrained"] > 0.0
     assert cert["constrained"] is True
@@ -490,6 +496,36 @@ def test_execute_spectrum_small(tmp_path):
     assert report.extras["lambda_unconstrained"] < 0.0
     assert [c.name for c in report.checks] == ["constrained-positive",
                                                "unconstrained-negative"]
+
+
+def _files(outdir):
+    return sorted(path.name for path in Path(outdir).iterdir())
+
+
+def test_drivers_only_measure():
+    # execute() writes every artifact; no driver is handed a place to write
+    for driver in (*runs_mod._DISPATCH.values(), runs_mod._sweep):
+        assert "outdir" not in inspect.signature(driver).parameters
+
+
+def test_a_run_that_raises_writes_nothing(tmp_path, monkeypatch):
+    # the sweep evolves its limbs as one stack; the single-field identity run
+    # that follows blows up, after the sweep's series is complete
+    real = runs_mod.evolve
+
+    def identity_blows_up(u0, *args, **kwargs):
+        if isinstance(u0, Field):
+            raise BlowupError("injected in the identity run", t_last=0.0)
+        return real(u0, *args, **kwargs)
+
+    monkeypatch.setattr(runs_mod, "evolve", identity_blows_up)
+    cfg = preset("mass-monotonicity").with_updates(
+        grid=GridConfig(2048, 512.0, -256.0), positions=(-20.0, 20.0),
+        sweep_separations=(40.0, 60.0), dt=1e-3, t_final=0.5, cadence=0.25,
+        identity_t=0.3, identity_cadence=0.003)
+    with pytest.raises(BlowupError, match="identity run"):
+        execute(cfg, tmp_path)
+    assert _files(tmp_path) == []
 
 
 def test_tracked_run_computes_conserved_once_per_snapshot(tmp_path, monkeypatch):
@@ -589,6 +625,7 @@ def test_stability_sweep_clean(tmp_path, small_stability_cfg):
     sup = report.extras["sup_dist_frozen"]
     assert sup[0] < 1e-7                        # unperturbed limb: solver noise
     assert abs(sup[2] / 1e-2 - 1.0) < 0.1       # distance tracks amplitude
+    assert _files(tmp_path) == ["report.json", "series.csv"]
     header = (tmp_path / "series.csv").read_text().splitlines()[0]
     assert header.startswith("alpha,t,")
 

@@ -170,9 +170,12 @@ execute(ExperimentConfig(family="stability", p=3, speeds=(1.0, 2.0), positions=(
                          grid=grid, dt=1e-3, t_final=0.2, cadence=0.1, perturbation=bump,
                          alphas=(0.0, 1e-2)),
         {str(tmp_path / "stability")!r})
+execute(ExperimentConfig(family="nsoliton", p=2, speeds=(1.0, 2.0), positions=(20.0, -20.0),
+                         grid=grid, dt=1e-3, t_final=0.2, cadence=0.1),
+        {str(tmp_path / "nsoliton")!r})
 """
     assert _scipy_modules_after(code) == "[]"
-    for family in ("simulate", "stability"):
+    for family in ("simulate", "stability", "nsoliton"):
         assert (tmp_path / family / "series.csv").exists()
 
 
