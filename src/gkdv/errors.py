@@ -56,7 +56,17 @@ class DegenerateConfigurationError(GkdvError, RuntimeError):
 
 
 class SpectralFailureError(GkdvError, RuntimeError):
-    """Lanczos eigensolver failed to converge."""
+    """Lanczos eigensolver failed to converge.
+
+    Carries the operator applications made (``matvecs``), the smallest Ritz
+    residual reached (``residual``) and the last Ritz value (``ritz_value``).
+    """
+
+    def __init__(self, message, matvecs=0, residual=None, ritz_value=None):
+        super().__init__(message)
+        self.matvecs = matvecs
+        self.residual = residual
+        self.ritz_value = ritz_value
 
 
 class ConfigValidationError(GkdvError, ValueError):

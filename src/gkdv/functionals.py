@@ -5,7 +5,8 @@ and is built from the ambient ground profile: psi' = c_psi Q(sqrt(sigma0) x / 2)
 with c_psi fixed so that the total increment is exactly 1; psi is elementary
 for p = 2 and 3 and a regularized incomplete beta for p = 4. Localized
 masses, the speed-ramp quadratic form, its constrained spectrum, and the
-linearized energy bookkeeping all live here.
+linearized energy bookkeeping all live here. The spectrum comes from Lanczos
+with full reorthogonalization in numpy alone, stopped on the Ritz residual.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def linearized_energy_form(eps: Field, basis: SolitonBasis) -> float:
 class SpectrumResult:
     lambda_min: float
     eigenvector: Field
-    eigen_residual: float  # ||(operator - lambda) z|| for the unit Lanczos vector z; same in w
+    eigen_residual: float  # ||(operator - lambda) z|| for the unit Ritz vector z; same in w
     matvecs: int  # operator applications
     constraint_residuals: dict | None  # max |h<v, Q_{c_j}>|, max |h<v, d_x Q_{c_j}>|
 
@@ -206,6 +207,9 @@ def _real_modes(spectra: np.ndarray) -> np.ndarray:
     r = spectra.view(np.float64)
     r[..., 1] = r[..., 0]
     return r[..., 1:-1]
+
+
+_LANCZOS_MAX_STEPS = 300  # steps before SpectralFailureError; rows of the Lanczos basis
 
 
 def constrained_spectrum(state: SolitonState, w: PsiWeight, params: ModelParams,
@@ -220,8 +224,15 @@ def constrained_spectrum(state: SolitonState, w: PsiWeight, params: ModelParams,
     Q an orthonormal basis of S C in z for the constraint columns C, P = I - Q Q^T;
     sigma = 1 + max|V| >= ||A|| lifts span(Q) to the top of the spectrum. S and
     -d2 S^2 are diagonal in z, so one application of A is irfft, times V, rfft.
+
+    Lanczos starts from default_rng(0) projected off span(Q) and keeps every
+    vector: a step is the three-term recurrence, one Gram-Schmidt pass against
+    the kept vectors and a second if the first removed over 30% of the norm
+    (Daniel, Gragg, Kaufman and Stewart 1976). Every fourth step and the last
+    allowed one take the smallest eigenpair (theta, s) of the tridiagonal T_k:
+    the run stops when the Ritz residual |beta_k s_k| is at most 1e-15 sigma,
+    and raises SpectralFailureError after _LANCZOS_MAX_STEPS steps.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     _require_sorted_positions(state)
     n = grid.n
     k2 = grid.wavenumbers**2
@@ -234,48 +245,69 @@ def constrained_spectrum(state: SolitonState, w: PsiWeight, params: ModelParams,
     basis = SolitonBasis(params, state, grid)
     V = -params.p * basis.total ** (params.p - 1) + speed_ramp(state, w, grid)
     sigma = 1.0 + float(np.max(np.abs(V)))
-    Q = np.zeros((n, 0))
+    Q = np.zeros((0, n))  # orthonormal rows
     if constrained:
         C = np.stack((basis.R, basis.Rx), axis=1).reshape(-1, n)  # R_1, (R_1)_x, R_2, ...
-        Q = np.linalg.qr((sz * _real_modes(np.fft.rfft(C))).T)[0]
+        Q = np.ascontiguousarray(np.linalg.qr((sz * _real_modes(np.fft.rfft(C))).T)[0].T)
     spectrum = np.zeros(n + 2)  # float64 view of the n/2 + 1 complex modes
-    matvecs, best = 0, math.inf  # best: smallest Rayleigh residual, reported on failure
 
     def S(z):  # S w on the grid for the w with coordinates z; Im 0, Im n/2 stay 0
         spectrum[1:-1] = sx * z
         spectrum[0], spectrum[1] = spectrum[1], 0.0
         return np.fft.irfft(spectrum.view(np.complex128), n)
 
-    def matvec(x):
-        nonlocal matvecs, best
-        matvecs += 1
-        x = np.ravel(x)
-        Qx = Q @ (Q.T @ x) if constrained else 0.0
+    def apply(x):
+        Qx = Q.T @ (Q @ x) if constrained else 0.0
         px = x - Qx
         y = kz * px + sz * _real_modes(np.fft.rfft(V * S(px)))
         if constrained:
-            y += sigma * Qx - Q @ (Q.T @ y)
-        best = min(best, float(np.linalg.norm(y - (x @ y) / (x @ x) * x) / np.linalg.norm(x)))
+            y += sigma * Qx - Q.T @ (Q @ y)
         return y
 
+    steps = _LANCZOS_MAX_STEPS
+    lanczos = np.empty((steps, n))  # orthonormal rows; pages are touched as they fill
+    alpha, beta = np.zeros(steps), np.zeros(steps)
     v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        vals, vecs = eigsh(LinearOperator((n, n), matvec=matvec, dtype=np.float64), k=1,
-                           which="SA", tol=0, v0=v0 - Q @ (Q.T @ v0))
-    except ArpackNoConvergence as exc:
-        raise SpectralFailureError(
-            f"Lanczos did not converge (n={n}, p={params.p}, N={state.n}, constrained="
-            f"{constrained}) in {matvecs} operator applications; best residual "
-            f"reached {best:.3e}") from exc
-    lam, wv = float(vals[0]), vecs[:, 0]
-    eigen_residual = float(np.linalg.norm(matvec(wv) - lam * wv))
+    v0 -= Q.T @ (Q @ v0)
+    lanczos[0] = v0 / np.linalg.norm(v0)
+    tol, best = 1e-15 * sigma, math.inf  # best: smallest Ritz residual, reported on failure
+    for k in range(steps):
+        r = apply(lanczos[k])
+        alpha[k] = lanczos[k] @ r
+        r -= alpha[k] * lanczos[k] + (beta[k - 1] * lanczos[k - 1] if k else 0.0)
+        kept = lanczos[:k + 1]
+        for _ in range(2):
+            norm = np.linalg.norm(r)
+            r -= (kept @ r) @ kept
+            beta[k] = np.linalg.norm(r)
+            if beta[k] >= 0.7 * norm:
+                break
+        if k % 4 == 3 or k + 1 == steps or beta[k] <= tol:
+            # eigh reads one triangle: both off-diagonals keep T whole
+            theta, s = np.linalg.eigh(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1)
+                                      + np.diag(beta[:k], -1))
+            best = min(best, beta[k] * abs(s[-1, 0]))
+            if best <= tol:
+                break
+            if k + 1 == steps:
+                raise SpectralFailureError(
+                    f"Lanczos did not converge (n={n}, p={params.p}, N={state.n}, constrained="
+                    f"{constrained}) in {steps} operator applications; last Ritz value "
+                    f"{theta[0]:.16g}, best residual reached {best:.3e}",
+                    matvecs=steps, residual=best, ritz_value=float(theta[0]))
+        lanczos[k + 1] = r / beta[k]
+    lam = float(theta[0])
+    wv = s[:, 0] @ kept
+    wv /= np.linalg.norm(wv)
+    eigen_residual = float(np.linalg.norm(apply(wv) - lam * wv))
     vec = S(wv)
     vec /= math.sqrt(grid.spacing * float(vec @ vec))
     overlaps = None
     if constrained:
         ov = np.abs(grid.spacing * (C @ vec))
         overlaps = {"profile": float(np.max(ov[0::2])), "slope": float(np.max(ov[1::2]))}
-    return SpectrumResult(lam, Field(grid, vec), eigen_residual, matvecs, overlaps)
+    # k + 1 Lanczos steps and the residual's application
+    return SpectrumResult(lam, Field(grid, vec), eigen_residual, k + 2, overlaps)
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,8 @@ def _check_common(cfg: ExperimentConfig) -> None:
         _built("t_final, cadence", step_counts, cfg.t_final, cfg.dt, cfg.cadence)
     _built("perturbation", make_perturbation, cfg.perturbation, grid, state)
     _built("sponge", sponge_profile, grid, cfg.sponge)
-    # spectrum and nsoliton build their fields without soliton_sum
-    if cfg.family not in ("spectrum", "nsoliton"):
+    # nsoliton evaluates its exact formula, not the minimal-image soliton sum
+    if cfg.family != "nsoliton":
         _built("grid", _check_seam_tails, cfg.p, cfg.speeds, grid)
 
     if cfg.y0 is not None and not (cfg.y0 > 0):

@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.special import betainc
 
 from dense_spectrum import dense_constrained_spectrum
@@ -16,6 +15,7 @@ from gkdv import (Field, Grid, ModelParams, ParameterError, PsiWeight,
                   energy_expansion_residual, eval_Qc, evolve, h1_norm, l2_norm,
                   linearized_energy_form, localized_mass_rate_terms,
                   localized_masses, midpoints, soliton_sum, speed_ramp)
+from gkdv import functionals as functionals_mod
 from gkdv.harness.config import ExperimentConfig, GridConfig
 from gkdv.harness.runs import execute
 from gkdv.profiles import SolitonBasis, _sech
@@ -363,11 +363,8 @@ def test_spectrum_matches_dense_oracle(p, n_sol, constrained):
 
 
 def test_spectrum_failure_names_its_state(monkeypatch):
-    def no_convergence(op, k, which, tol, v0):
-        op.matvec(v0)
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((op.shape[0], 0)))
-
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+    # three steps are far too few; the last allowed one still checks convergence
+    monkeypatch.setattr(functionals_mod, "_LANCZOS_MAX_STEPS", 3)
     grid = Grid(512, 128.0, -64.0)
     st = SolitonState((1.0, 2.0), (-20.0, 20.0))
     with pytest.raises(SpectralFailureError) as info:
@@ -376,6 +373,13 @@ def test_spectrum_failure_names_its_state(monkeypatch):
     for part in ("n=512", "p=2", "N=2", "constrained=True", "best residual reached"):
         assert part in msg
     assert float(msg.rsplit(" ", 1)[1]) < np.inf
+    err = info.value
+    assert err.matvecs == 3
+    assert 0.0 < err.residual < np.inf
+    assert float(msg.rsplit(" ", 1)[1]) == pytest.approx(err.residual, rel=1e-3)
+    assert f"last Ritz value {err.ritz_value:.16g}," in msg
+    # a Ritz value bounds the constrained minimum from above
+    assert err.ritz_value > 0.3506063578
 
 
 def test_spectrum_five_solitons_at_n8192():
@@ -418,6 +422,8 @@ def test_spectrum_at_the_scan_geometry(constrained, lam):
     res = constrained_spectrum(st, PsiWeight(params.p, st.sigma0), params, grid, constrained)
     assert abs(res.lambda_min - lam) <= 1e-12
     assert res.eigen_residual < 1e-12
+    # ARPACK (eigsh, ncv = 20) took 72 and 22 operator applications here
+    assert res.matvecs < 72 if constrained else res.matvecs <= 22
     if constrained:
         assert max(res.constraint_residuals.values()) < 1e-12
 

@@ -164,6 +164,11 @@ def test_config_rejects_a_seam_tail_before_any_work():
     with pytest.raises(ConfigValidationError, match="periodic seam"):
         preset("single-soliton").with_updates(grid=small, t_final=1.0)
     preset("single-soliton").with_updates(grid=GridConfig(512, 50.0, -25.0), t_final=1.0)
+    # the spectrum builds the same minimal-image rows: at L = 32 a c = 0.04
+    # soliton keeps 1.5e-1 at the seam, and its constrained lambda read -0.0291
+    with pytest.raises(ConfigValidationError, match="periodic seam"):
+        ExperimentConfig(family="spectrum", p=2, speeds=(0.04,), positions=(0.0,),
+                         grid=GridConfig(256, 32.0, -16.0))
 
 
 # configs that used to validate and then fail inside execute(): the first

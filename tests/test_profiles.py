@@ -153,8 +153,8 @@ def _scipy_modules_after(code: str) -> str:
 
 
 def test_harness_import_loads_no_scipy():
-    # the profile constants come from a table and the spectrum and p = 4 psi
-    # import their scipy routines when called, so the harness loads no scipy
+    # the profile constants come from a table and the p = 4 psi imports
+    # betainc when called, so the harness loads no scipy
     assert _scipy_modules_after("import gkdv.harness") == "[]"
 
 
@@ -173,9 +173,12 @@ execute(ExperimentConfig(family="stability", p=3, speeds=(1.0, 2.0), positions=(
 execute(ExperimentConfig(family="nsoliton", p=2, speeds=(1.0, 2.0), positions=(20.0, -20.0),
                          grid=grid, dt=1e-3, t_final=0.2, cadence=0.1),
         {str(tmp_path / "nsoliton")!r})
+execute(ExperimentConfig(family="spectrum", p=3, speeds=(1.0, 2.0), positions=(-20.0, 20.0),
+                         grid=grid),
+        {str(tmp_path / "spectrum")!r})
 """
     assert _scipy_modules_after(code) == "[]"
-    for family in ("simulate", "stability", "nsoliton"):
+    for family in ("simulate", "stability", "nsoliton", "spectrum"):
         assert (tmp_path / family / "series.csv").exists()
 
 
