@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ..errors import GkdvError
-from .config import (ExperimentConfig, GridConfig, load_config, preset)
+from .config import ExperimentConfig, load_config, preset
 from .runs import execute
 
 _FAMILY_PRESET = {
@@ -34,29 +35,32 @@ def _floats(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
+# the override flags in --help order: (flag, help, type, config field); a
+# dotted field is a field of that sub-config
+_FLAGS = (
+    ("--p", "nonlinearity exponent", int, "p"),
+    ("--speeds", "comma-separated soliton speeds", _floats, "speeds"),
+    ("--positions", "comma-separated soliton positions (or phase parameters)", _floats, "positions"),
+    ("--alpha", "perturbation H1 amplitude", float, "perturbation.amplitude"),
+    ("--alphas", "amplitude limbs (stability, quadratic-control)", _floats, "alphas"),
+    ("--separations", "separation sweep (monotonicity)", _floats, "sweep_separations"),
+    ("--grid", "number of grid points", int, "grid.n"),
+    ("--domain", "domain length", float, "grid.length"),
+    ("--x0", "left edge of the domain", float, "grid.x0"),
+    ("--dt", "time step", float, "dt"),
+    ("--tfinal", "final time", float, "t_final"),
+    ("--cadence", "snapshot interval", float, "cadence"),
+    ("--seed", "perturbation seed", int, "perturbation.seed"),
+)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON experiment config; defaults to the family preset")
     sub.add_argument("--out", type=Path, default=None,
                      help="output directory (default out/<label>)")
-    sub.add_argument("--p", type=int, default=None, help="nonlinearity exponent")
-    sub.add_argument("--speeds", type=_floats, default=None,
-                     help="comma-separated soliton speeds")
-    sub.add_argument("--positions", type=_floats, default=None,
-                     help="comma-separated soliton positions (or phase parameters)")
-    sub.add_argument("--alpha", type=float, default=None,
-                     help="perturbation H1 amplitude")
-    sub.add_argument("--alphas", type=_floats, default=None,
-                     help="amplitude limbs (stability, quadratic-control)")
-    sub.add_argument("--separations", type=_floats, default=None,
-                     help="separation sweep (monotonicity)")
-    sub.add_argument("--grid", type=int, default=None, help="number of grid points")
-    sub.add_argument("--domain", type=float, default=None, help="domain length")
-    sub.add_argument("--x0", type=float, default=None, help="left edge of the domain")
-    sub.add_argument("--dt", type=float, default=None, help="time step")
-    sub.add_argument("--tfinal", type=float, default=None, help="final time")
-    sub.add_argument("--cadence", type=float, default=None, help="snapshot interval")
-    sub.add_argument("--seed", type=int, default=None, help="perturbation seed")
+    for flag, help_text, kind, _ in _FLAGS:
+        sub.add_argument(flag, type=kind, default=None, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,40 +76,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.p is not None:
-        updates["p"] = args.p
-    if args.speeds is not None:
-        updates["speeds"] = args.speeds
-        if args.positions is None and len(args.speeds) != len(cfg.positions):
-            raise GkdvError("--speeds changed the soliton count; pass --positions too")
-    if args.positions is not None:
-        updates["positions"] = args.positions
-    if args.alphas is not None:
-        updates["alphas"] = args.alphas
-    if args.separations is not None:
-        updates["sweep_separations"] = args.separations
-    if args.dt is not None:
-        updates["dt"] = args.dt
-    if args.tfinal is not None:
-        updates["t_final"] = args.tfinal
-    if args.cadence is not None:
-        updates["cadence"] = args.cadence
-    if args.grid is not None or args.domain is not None or args.x0 is not None:
-        updates["grid"] = GridConfig(
-            n=args.grid if args.grid is not None else cfg.grid.n,
-            length=args.domain if args.domain is not None else cfg.grid.length,
-            x0=args.x0 if args.x0 is not None else cfg.grid.x0)
-    pert_updates = {}
-    if args.alpha is not None:
-        pert_updates["amplitude"] = args.alpha
-        if cfg.perturbation.kind == "none":
-            pert_updates["kind"] = "bump"
-    if args.seed is not None:
-        pert_updates["seed"] = args.seed
-    if pert_updates:
-        from dataclasses import replace
-        updates["perturbation"] = replace(cfg.perturbation, **pert_updates)
+    updates, sub_updates = {}, {}
+    for flag, _, _, name in _FLAGS:
+        value = getattr(args, flag[2:])
+        if value is None:
+            continue
+        head, _, key = name.rpartition(".")
+        if head:
+            sub_updates.setdefault(head, {})[key] = value
+        else:
+            updates[key] = value
+    if (args.speeds is not None and args.positions is None
+            and len(args.speeds) != len(cfg.positions)):
+        raise GkdvError("--speeds changed the soliton count; pass --positions too")
+    if args.alpha is not None and cfg.perturbation.kind == "none":
+        sub_updates["perturbation"]["kind"] = "bump"
+    for head, kw in sub_updates.items():
+        updates[head] = replace(getattr(cfg, head), **kw)
     return cfg.with_updates(**updates) if updates else cfg
 
 
@@ -123,10 +110,7 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(cfg, args)
         outdir = args.out if args.out is not None else Path("out") / (cfg.label or cfg.family)
         report = execute(cfg, outdir)
-    except GkdvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GkdvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
+from operator import attrgetter
 
 import numpy as np
 
@@ -171,6 +172,10 @@ def _check_common(cfg: ExperimentConfig) -> None:
         if not isinstance(getattr(cfg, name), cls):
             _fail(f"{name} must be an object with keys {sorted(cls.__dataclass_fields__)}, "
                   f"got {getattr(cfg, name)!r}")
+    for name in ("sponge.enabled", "track.enabled", "write_snapshots"):
+        value = attrgetter(name)(cfg)
+        if not isinstance(value, bool):
+            _fail(f"{name} must be true or false, got {value!r}")
     if not isinstance(cfg.thresholds, dict) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg.thresholds.values()):
         _fail(f"thresholds must map names to numbers, got {cfg.thresholds!r}")

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import ParameterError
 from ..grid import Field, Grid
 from ..profiles import SolitonState
-from ..solver import h1_norm
+from ..solver import bump, h1_norm
 
 PERTURBATION_KINDS = ("none", "bump", "noise")
 
@@ -38,14 +38,10 @@ class PerturbationConfig:
 
 
 def smooth_bump(grid: Grid, center: float, width: float) -> Field:
-    """C-infinity bump exp(1 - 1/(1 - r^2)) supported on |x - center| < width."""
+    """The solver's C-infinity bump, supported on |x - center| < width."""
     if not (width > 0):
         raise ParameterError(f"bump width must be positive, got {width}")
-    r = grid.wrap(grid.x - center) / width
-    vals = np.zeros(grid.n)
-    inside = np.abs(r) < 1.0
-    vals[inside] = np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
-    return Field(grid, vals)
+    return Field(grid, bump(grid, center, width))
 
 
 def band_noise(grid: Grid, seed: int, kmin: float, kmax: float) -> Field:

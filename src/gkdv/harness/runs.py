@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -48,13 +48,12 @@ class CheckResult:
 
 @dataclass
 class FitResult:
-    """Least-squares line through (log x, log y) with the raw points kept."""
+    """Least-squares line through (log x, log y); points keeps the raw x and y."""
 
     name: str
     slope: float
     intercept: float
-    xs: list
-    ys: list
+    points: dict
 
 
 @dataclass
@@ -133,18 +132,8 @@ def _write_json(path, payload) -> None:
 
 
 def write_report(path, report: RunReport) -> None:
-    _write_json(path, {
-        "family": report.family,
-        "label": report.label,
-        "passed": bool(report.passed),
-        "checks": [{"name": c.name, "passed": bool(c.passed), "value": c.value,
-                    "threshold": c.threshold, "comparison": c.comparison,
-                    "detail": c.detail} for c in report.checks],
-        "fits": [{"name": f.name, "slope": f.slope, "intercept": f.intercept,
-                  "points": {"x": list(f.xs), "y": list(f.ys)}} for f in report.fits],
-        "extras": report.extras,
-        "config": report.config,
-    })
+    """report.json: each field of the report, its checks and fits by name."""
+    _write_json(path, asdict(report))
 
 
 def write_series_csv(path, pairs) -> None:
@@ -672,7 +661,7 @@ def run_quadratic_control(cfg: ExperimentConfig):
         xs = [eps0[i] for i in usable]
         ys = [sup_dc[i] for i in usable]
         slope, icpt = _log_slope(xs, ys)
-        fits.append(FitResult("speed-drift-vs-remainder", slope, icpt, xs, ys))
+        fits.append(FitResult("speed-drift-vs-remainder", slope, icpt, {"x": xs, "y": ys}))
         results["speed-drift-scaling"] = (slope, "")
     else:
         results["speed-drift-scaling"] = (None, "fewer than 3 amplitudes produced speed "
@@ -680,7 +669,7 @@ def run_quadratic_control(cfg: ExperimentConfig):
     if len(done) >= 3:
         slope_e, icpt_e = _log_slope(done, sup_eps)
         fits.append(FitResult("h1-remainder-vs-amplitude", slope_e, icpt_e,
-                              done, sup_eps))
+                              {"x": done, "y": sup_eps}))
         results["remainder-scaling"] = (slope_e, "")
     else:
         results["remainder-scaling"] = (None, "fewer than 3 amplitudes completed")

@@ -19,6 +19,9 @@ from .profiles import ModelParams, SolitonBasis, SolitonState, eval_Q
 
 _COND_LIMIT = 1e12
 _MAX_HALVINGS = 6
+_MAX_ITER = 50
+_AMPLITUDE_FLOOR = 0.05     # initial_guess: the lowest peak it accepts,
+_MIN_SEPARATION = 2.0       # and its least distance from a taller accepted one
 
 
 @dataclass
@@ -65,21 +68,12 @@ def ortho_jacobian(u: Field, state: SolitonState, params: ModelParams,
     h = u.grid.spacing
     N = state.n
     J = np.empty((2 * N, 2 * N))
-    # own-parameter terms acting through R_j, plus coupling through eps
-    eps_dRdc = h * (dRdc @ eps)
-    eps_Rx = h * (Rx @ eps)
-    eps_dRxdc = h * (dRxdc @ eps)
-    eps_Rxx = h * (Rxx @ eps)
-    G_R_dRdc = h * (R @ dRdc.T)      # [j,k] = <R_j, dR_k/dc_k>
-    G_R_Rx = h * (R @ Rx.T)          # [j,k] = <R_j, (R_k)_x>
-    G_Rx_dRdc = h * (Rx @ dRdc.T)
-    G_Rx_Rx = h * (Rx @ Rx.T)
-    for j in range(N):
-        for k in range(N):
-            J[2 * j, 2 * k] = (eps_dRdc[j] if j == k else 0.0) - G_R_dRdc[j, k]
-            J[2 * j, 2 * k + 1] = (-eps_Rx[j] if j == k else 0.0) + G_R_Rx[j, k]
-            J[2 * j + 1, 2 * k] = (eps_dRxdc[j] if j == k else 0.0) - G_Rx_dRdc[j, k]
-            J[2 * j + 1, 2 * k + 1] = (-eps_Rxx[j] if j == k else 0.0) + G_Rx_Rx[j, k]
+    # d<R_j, eps> and d<(R_j)_x, eps> by c_k, x_k: the row's own derivative
+    # against eps when j == k, plus the row against -dR_k/dc_k or (R_k)_x
+    J[0::2, 0::2] = np.diag(h * (dRdc @ eps)) - h * (R @ dRdc.T)
+    J[0::2, 1::2] = np.diag(-(h * (Rx @ eps))) + h * (R @ Rx.T)
+    J[1::2, 0::2] = np.diag(h * (dRxdc @ eps)) - h * (Rx @ dRdc.T)
+    J[1::2, 1::2] = np.diag(-(h * (Rxx @ eps))) + h * (Rx @ Rx.T)
     return J
 
 
@@ -95,7 +89,7 @@ def _state_from(theta: np.ndarray) -> SolitonState:
 
 
 def decompose(u: Field, guess: SolitonState, params: ModelParams,
-              tol: float | None = None, max_iter: int = 50) -> Decomposition:
+              tol: float | None = None) -> Decomposition:
     """Drive the orthogonality residuals to zero by damped Newton.
 
     tol defaults to 1e-11 * sqrt(mass of u). Steps are halved (at most 6
@@ -111,7 +105,7 @@ def decompose(u: Field, guess: SolitonState, params: ModelParams,
     res = _residual(u, basis)
     rnorm = float(np.linalg.norm(res))
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if float(np.max(np.abs(res))) <= tol:
             break
         J = ortho_jacobian(u, state, params, basis=basis)
@@ -148,7 +142,7 @@ def decompose(u: Field, guess: SolitonState, params: ModelParams,
     else:
         if float(np.max(np.abs(res))) > tol:
             raise DecompositionFailureError(
-                f"no convergence after {max_iter} iterations (|res|_max="
+                f"no convergence after {_MAX_ITER} iterations (|res|_max="
                 f"{float(np.max(np.abs(res))):.3e}, tol={tol:.3e})",
                 state=state, residuals=res, iterations=iterations)
 
@@ -156,25 +150,23 @@ def decompose(u: Field, guess: SolitonState, params: ModelParams,
                          ortho_residuals=res, iterations=iterations, basis=basis)
 
 
-def initial_guess(u: Field, n_solitons: int, params: ModelParams,
-                  amplitude_floor: float = 0.05,
-                  min_separation: float = 2.0) -> SolitonState:
+def initial_guess(u: Field, n_solitons: int, params: ModelParams) -> SolitonState:
     """Peak detection with quadratic sub-grid refinement.
 
     Speeds come from peak heights via c = (height / Q(0))^(p-1); candidates
-    closer than min_separation to a taller accepted peak are suppressed.
+    closer than _MIN_SEPARATION to a taller accepted peak are suppressed.
     """
     if n_solitons < 1:
         raise ParameterError("n_solitons must be >= 1")
     v = u.values
     left, right = np.roll(v, 1), np.roll(v, -1)
-    idx = np.where((v > left) & (v >= right) & (v >= amplitude_floor))[0]
+    idx = np.where((v > left) & (v >= right) & (v >= _AMPLITUDE_FLOOR))[0]
     if idx.size == 0:
-        raise GuessFailureError(f"no peaks above amplitude floor {amplitude_floor}")
+        raise GuessFailureError(f"no peaks above amplitude floor {_AMPLITUDE_FLOOR}")
     order = idx[np.argsort(v[idx])[::-1]]
     kept = []
     for i in order:
-        if all(abs(float(u.grid.wrap(u.grid.x[i] - u.grid.x[j]))) >= min_separation for j in kept):
+        if all(abs(float(u.grid.wrap(u.grid.x[i] - u.grid.x[j]))) >= _MIN_SEPARATION for j in kept):
             kept.append(i)
     if len(kept) < n_solitons:
         raise GuessFailureError(

@@ -93,6 +93,16 @@ def l2_norm_right_of(u: Field, x_cut: float) -> float:
 # ---------------------------------------------------------------------------
 # absorbing layer
 
+def bump(grid: Grid, center: float, width: float) -> np.ndarray:
+    """C-infinity bump exp(1 - 1/(1 - r^2)), r = (x - center)/width on the
+    minimal image, supported on |r| < 1."""
+    r = grid.wrap(grid.x - center) / width
+    vals = np.zeros(grid.n)
+    inside = np.abs(r) < 1.0
+    vals[inside] = np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
+    return vals
+
+
 @dataclass(frozen=True)
 class SpongeSettings:
     """Damping -sigma(x) u on a window of width_fraction*length centered on the
@@ -112,13 +122,7 @@ def sponge_profile(grid: Grid, cfg: SpongeSettings) -> np.ndarray:
         raise ParameterError(f"sponge width_fraction must lie in (0, 0.5), got {cfg.width_fraction}")
     if not (cfg.strength > 0.0):
         raise ParameterError(f"sponge strength must be positive, got {cfg.strength}")
-    w = 0.5 * cfg.width_fraction * grid.length          # half-width around the seam
-    d = grid.wrap(grid.x - grid.x0)                     # signed distance to the seam
-    r = np.clip(np.abs(d) / w, 0.0, 1.0)
-    sig = np.zeros(grid.n)
-    inside = r < 1.0
-    sig[inside] = cfg.strength * np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
-    return sig
+    return cfg.strength * bump(grid, grid.x0, 0.5 * cfg.width_fraction * grid.length)
 
 
 # ---------------------------------------------------------------------------

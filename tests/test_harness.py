@@ -3,6 +3,7 @@
 import inspect
 import json
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 
 from gkdv import (BlowupError, ConfigValidationError, DecompositionFailureError,
-                  Field, Grid, ModelParams, ParameterError, StepSizeError, Stepper,
+                  Field, GkdvError, Grid, ModelParams, ParameterError, StepSizeError, Stepper,
                   dt_stability_bound, evolve, soliton_sum)
 from gkdv import solver as solver_mod
 from gkdv.harness import runs as runs_mod
-from gkdv.harness.cli import _FAMILY_PRESET, build_parser, main
+from gkdv.harness.cli import _FAMILY_PRESET, _FLAGS, _apply_overrides, build_parser, main
 from gkdv.harness.config import (_DEFAULT_THRESHOLDS, CHECKS, FAMILIES,
                                  ExperimentConfig, GridConfig,
                                  PerturbationConfig, SpongeSettings, TrackSettings,
@@ -341,6 +342,16 @@ def test_config_rejects_a_sub_config_that_is_no_object(key, value, tmp_path, cap
     path.write_text(json.dumps(data))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{key} must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, name", [({"sponge": {"enabled": "false"}}, "sponge.enabled"),
+                                        ({"track": {"enabled": "false"}}, "track.enabled"),
+                                        ({"write_snapshots": "false"}, "write_snapshots")])
+def test_config_rejects_a_flag_that_is_no_bool(data, name):
+    # the string is truthy: the run would switch the layer on and drop the
+    # checks that need it off, without notice
+    with pytest.raises(ConfigValidationError, match=f"^{name} must be true or false, got 'false'"):
+        config_from_dict({"family": "simulate", **data})
 
 
 def test_config_to_dict_is_json_ready():
@@ -914,6 +925,13 @@ def test_checks_follow_the_table():
         runs_mod._checks(_cfg(), {"propagation-error": (0.0, "", 1.0)})
 
 
+def test_readme_synopsis_lists_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    for flag in ("--config", "--out", *(row[0] for row in _FLAGS)):
+        assert f"[{flag} " in synopsis or f"[{flag}=" in synopsis, flag
+
+
 def test_readme_lists_every_check():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("\n## Checks\n", 1)[1].split("\n## ", 1)[0]
@@ -982,3 +1000,33 @@ def test_cli_parser_and_overrides():
     assert args.speeds == (1.0, 2.0, 3.0)
     assert args.positions == (-40.0, 0.0, 40.0)
     assert args.grid == 512
+
+
+def test_cli_overrides_land_in_their_fields():
+    parser = build_parser()
+    stab = preset("stability-bound")
+    cfg = _apply_overrides(stab, parser.parse_args([
+        "stability", "--p", "3", "--speeds", "1,1.5", "--positions=-40,40",
+        "--alpha", "0.02", "--alphas", "0,0.01,0.02", "--grid", "8192",
+        "--domain", "512", "--x0", "-200", "--dt", "2e-4", "--tfinal", "10",
+        "--cadence", "0.5", "--seed", "3"]))
+    assert (cfg.p, cfg.speeds, cfg.positions) == (3, (1.0, 1.5), (-40.0, 40.0))
+    assert cfg.alphas == (0.0, 0.01, 0.02)
+    assert cfg.grid == GridConfig(8192, 512.0, -200.0)
+    assert (cfg.dt, cfg.t_final, cfg.cadence) == (2e-4, 10.0, 0.5)
+    assert cfg.perturbation == replace(stab.perturbation, amplitude=0.02, seed=3)
+    sweep = _apply_overrides(preset("mass-monotonicity"),
+                             parser.parse_args(["monotonicity", "--separations", "50,100"]))
+    assert sweep.sweep_separations == (50.0, 100.0)
+    # one grid field keeps the others; no flag keeps the config
+    assert _apply_overrides(stab, parser.parse_args(["stability", "--x0", "-90"])).grid == \
+        GridConfig(stab.grid.n, stab.grid.length, -90.0)
+    assert _apply_overrides(stab, parser.parse_args(["stability"])) is stab
+    # --alpha turns a "none" perturbation into a bump
+    single = preset("single-soliton")
+    assert single.perturbation.kind == "none"
+    bumped = _apply_overrides(single, parser.parse_args(
+        ["simulate", "--speeds", "1,2", "--positions=-20,20", "--alpha", "0.01"]))
+    assert bumped.perturbation == replace(single.perturbation, kind="bump", amplitude=0.01)
+    with pytest.raises(GkdvError, match="--speeds changed the soliton count"):
+        _apply_overrides(single, parser.parse_args(["simulate", "--speeds", "1,2"]))

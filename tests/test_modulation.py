@@ -8,6 +8,7 @@ from fd_jacobian import fd_jacobian
 from gkdv import (Field, Grid, ModelParams, ParameterError, SolitonState,
                   decompose, eval_Qc, evolve, initial_guess, l2_norm,
                   ortho_jacobian, ortho_residual, soliton_sum)
+from gkdv import modulation
 from gkdv.errors import (DecompositionFailureError,
                          DegenerateConfigurationError, GuessFailureError)
 from gkdv.harness.runs import FAILED, SKIPPED, TRACKED, DiagnosticsCollector
@@ -131,11 +132,12 @@ def test_decompose_returns_its_final_residual_and_basis():
     assert np.array_equal(dec.epsilon.values, u.values - soliton_sum(P2, dec.state, GRID).values)
 
 
-def test_decompose_failure_carries_state():
+def test_decompose_failure_carries_state(monkeypatch):
     st_true = SolitonState((1.0, 2.2), (-25.0, 18.0))
     u = soliton_sum(P2, st_true, GRID)
+    monkeypatch.setattr(modulation, "_MAX_ITER", 1)
     with pytest.raises(DecompositionFailureError) as err:
-        decompose(u, SolitonState((0.95, 2.3), (-24.4, 18.5)), P2, max_iter=1)
+        decompose(u, SolitonState((0.95, 2.3), (-24.4, 18.5)), P2)
     assert err.value.state is not None
     assert err.value.residuals.shape == (4,)
     assert err.value.iterations == 1
@@ -174,12 +176,13 @@ def test_initial_guess_speed_from_height():
     assert abs(g.positions[0] - 7.0) < 0.05
 
 
-def test_initial_guess_failures():
+def test_initial_guess_failures(monkeypatch):
     u = soliton_sum(P2, SolitonState((1.0, 4.0), (-20.0, 20.0)), GRID)
     with pytest.raises(GuessFailureError):
         initial_guess(u, 3, P2)                        # only two peaks exist
-    with pytest.raises(GuessFailureError):
-        initial_guess(u, 1, P2, amplitude_floor=10.0)  # floor above both peaks
+    with monkeypatch.context() as m, pytest.raises(GuessFailureError):
+        m.setattr(modulation, "_AMPLITUDE_FLOOR", 10.0)
+        initial_guess(u, 1, P2)                        # floor above both peaks
     with pytest.raises(ParameterError):
         initial_guess(u, 0, P2)
     twin = soliton_sum(P2, SolitonState((2.0,), (-20.0,)), GRID)
