@@ -22,8 +22,8 @@ from .modulation import (Decomposition, decompose, initial_guess,
 from .profiles import (ModelParams, SolitonState, eval_Q, eval_Qc,
                        kdv_nsoliton_profile, profile_mass_constant,
                        sigma0_of_speeds, soliton_energy, soliton_sum)
-from .solver import (ConservedQuantities, SpongeSettings, Stepper, Trajectory,
-                     conserved, dt_stability_bound, evolve, h1_norm, l2_norm,
+from .solver import (SpongeSettings, Stepper, Trajectory, conserved,
+                     dt_stability_bound, evolve, h1_norm, l2_norm,
                      l2_norm_right_of, sponge_profile)
 
 __version__ = "0.1.0"
@@ -42,7 +42,7 @@ __all__ = [
     "ortho_jacobian", "ortho_residual",
     "ModelParams", "SolitonState", "eval_Q", "eval_Qc", "kdv_nsoliton_profile",
     "profile_mass_constant", "sigma0_of_speeds", "soliton_energy", "soliton_sum",
-    "ConservedQuantities", "SpongeSettings", "Stepper", "Trajectory",
-    "conserved", "dt_stability_bound", "evolve", "h1_norm", "l2_norm",
-    "l2_norm_right_of", "sponge_profile",
+    "SpongeSettings", "Stepper", "Trajectory", "conserved",
+    "dt_stability_bound", "evolve", "h1_norm", "l2_norm", "l2_norm_right_of",
+    "sponge_profile",
 ]

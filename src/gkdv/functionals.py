@@ -64,9 +64,6 @@ class PsiWeight:
         """Normalization (2 intQ / sqrt(sigma0))^-1 with intQ = int Q dx."""
         return math.sqrt(self.sigma0) / (2.0 * _PROFILE_INTEGRALS[self.p][1])
 
-    def _phi(self, x: np.ndarray) -> np.ndarray:
-        return self._phi_of(_sech(self.b * x))
-
     def _phi_of(self, s: np.ndarray) -> np.ndarray:
         """psi' from s = sech(b x)."""
         return self.c_psi * self.amplitude * s ** self.q
@@ -81,7 +78,7 @@ class PsiWeight:
         gives the pair (psi', psi''') from one sech evaluation."""
         x = np.asarray(x, dtype=np.float64)
         if deriv == 1:
-            return self._phi(x)
+            return self._phi_of(_sech(self.b * x))
         if deriv == 3:
             return self._phi2_of(_sech(self.b * x))
         if deriv == (1, 3):
@@ -176,7 +173,6 @@ def localized_mass_rate_terms(u: Field, m: float, w: PsiWeight,
 
 def speed_ramp(state: SolitonState, w: PsiWeight, grid: Grid) -> np.ndarray:
     """c(x) = c_1 + sum_{j>=2} (c_j - c_{j-1}) psi(x - m_j), on raw coordinates."""
-    _require_sorted_positions(state)
     c = state.speed_array
     out = np.full(grid.n, c[0])
     for j, m in enumerate(midpoints(state), start=1):

@@ -37,13 +37,6 @@ class PerturbationConfig:
     kmax: float = 1.0
 
 
-def smooth_bump(grid: Grid, center: float, width: float) -> Field:
-    """The solver's C-infinity bump, supported on |x - center| < width."""
-    if not (width > 0):
-        raise ParameterError(f"bump width must be positive, got {width}")
-    return Field(grid, bump(grid, center, width))
-
-
 def band_noise(grid: Grid, seed: int, kmin: float, kmax: float) -> Field:
     """Random-phase field with spectrum supported on kmin <= |k| <= kmax."""
     if not (0.0 <= kmin < kmax):
@@ -71,7 +64,9 @@ def _resolve_center(location, state: SolitonState) -> float:
         raise ParameterError(f"location must be a number or 'gap:<k>', got {location!r}")
     k = int(index)
     if not (1 <= k <= state.n - 1):
-        raise ParameterError(f"location {location!r} needs a gap index in 1..{state.n - 1}")
+        raise ParameterError(f"location {location!r} needs a gap index in 1..{state.n - 1}"
+                             if state.n > 1 else f"location {location!r} needs two solitons; "
+                             "for one soliton, set perturbation.location to a number")
     x = np.sort(state.position_array)
     return 0.5 * (x[k - 1] + x[k])
 
@@ -86,7 +81,10 @@ def make_perturbation(cfg: PerturbationConfig, grid: Grid,
     if not (cfg.amplitude > 0):
         raise ParameterError(f"amplitude must be positive, got {cfg.amplitude}")
     if cfg.kind == "bump":
-        raw = smooth_bump(grid, _resolve_center(cfg.location, state), cfg.width)
+        center = _resolve_center(cfg.location, state)
+        if not (cfg.width > 0):
+            raise ParameterError(f"bump width must be positive, got {cfg.width}")
+        raw = Field(grid, bump(grid, center, cfg.width))
     else:
         raw = band_noise(grid, cfg.seed, cfg.kmin, cfg.kmax)
     nrm = h1_norm(raw)

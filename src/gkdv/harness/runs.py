@@ -103,13 +103,6 @@ def _checks(cfg: ExperimentConfig, results: dict) -> list:
     return checks
 
 
-def _report(cfg: ExperimentConfig, results: dict, fits: list, extras: dict) -> RunReport:
-    checks = _checks(cfg, results)
-    return RunReport(family=cfg.family, label=cfg.label,
-                     passed=all(c.passed for c in checks), checks=checks,
-                     fits=fits, extras=extras, config=config_to_dict(cfg))
-
-
 def _jsonable(o):
     """o with numpy values as Python ones and every NaN or infinity as None,
     so that the JSON artifacts are strict JSON."""
@@ -738,13 +731,13 @@ def run_asymptotic(cfg: ExperimentConfig):
 
 
 def run_nsoliton(cfg: ExperimentConfig):
-    params, grid, _ = _build(cfg)
-    u0 = kdv_nsoliton_profile(cfg.speeds, cfg.positions, 0.0, grid, p=cfg.p)
+    params, grid, state = _build(cfg)
+    u0 = kdv_nsoliton_profile(state, 0.0, grid, p=cfg.p)
 
     dists = []
 
     def observer(t, u):
-        ref = kdv_nsoliton_profile(cfg.speeds, cfg.positions, t, grid, p=cfg.p)
+        ref = kdv_nsoliton_profile(state, t, grid, p=cfg.p)
         dists.append(l2_norm(Field(grid, u.values - ref.values)))
 
     traj = evolve(u0, cfg.t_final, params, cfg.dt, cadence=cfg.cadence,
@@ -784,7 +777,10 @@ def execute(cfg: ExperimentConfig, outdir) -> RunReport:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results, fits, extras, artifacts = _DISPATCH[cfg.family](cfg)
-    report = _report(cfg, results, fits, extras)
+    checks = _checks(cfg, results)
+    report = RunReport(family=cfg.family, label=cfg.label,
+                       passed=all(c.passed for c in checks), checks=checks,
+                       fits=fits, extras=extras, config=config_to_dict(cfg))
     for name, payload in artifacts.items():
         if name.endswith(".csv"):
             write_series_csv(outdir / name, payload)

@@ -99,52 +99,41 @@ def decompose(u: Field, guess: SolitonState, params: ModelParams,
     if tol is None:
         tol = 1e-11 * math.sqrt(u.grid.spacing * float(np.sum(u.values**2)))
         tol = max(tol, 1e-15)
-    theta = _theta(guess)
     state = guess
     basis = SolitonBasis(params, state, u.grid)
     res = _residual(u, basis)
     rnorm = float(np.linalg.norm(res))
-    iterations = 0
-    for _ in range(_MAX_ITER):
+    for iterations in range(_MAX_ITER + 1):
         if float(np.max(np.abs(res))) <= tol:
             break
+        if iterations == _MAX_ITER:
+            raise DecompositionFailureError(
+                f"no convergence after {_MAX_ITER} iterations (|res|_max="
+                f"{float(np.max(np.abs(res))):.3e}, tol={tol:.3e})",
+                state=state, residuals=res, iterations=iterations)
         J = ortho_jacobian(u, state, params, basis=basis)
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise DegenerateConfigurationError(
                 f"modulation Jacobian condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}")
         delta = np.linalg.solve(J, -res)
-        lam = 1.0
-        accepted = False
-        for _halving in range(_MAX_HALVINGS + 1):
+        theta = _theta(state)
+        for lam in 0.5 ** np.arange(_MAX_HALVINGS + 1):
             try:
                 cand = _state_from(theta + lam * delta)
             except ParameterError:
-                lam *= 0.5  # step left the admissible cone; damp harder
-                continue
+                continue  # step left the admissible cone; damp harder
             cand_basis = SolitonBasis(params, cand, u.grid)
             cand_res = _residual(u, cand_basis)
             cand_norm = float(np.linalg.norm(cand_res))
             if cand_norm < rnorm:
-                theta = theta + lam * delta
                 state, basis, res, rnorm = cand, cand_basis, cand_res, cand_norm
-                accepted = True
                 break
-            lam *= 0.5
-        iterations += 1
-        if not accepted:
-            if float(np.max(np.abs(res))) <= tol:
-                break
+        else:
             raise DecompositionFailureError(
                 f"Newton step failed to decrease the residual after {_MAX_HALVINGS} halvings "
                 f"(|res|={rnorm:.3e}, tol={tol:.3e})", state=state, residuals=res,
-                iterations=iterations)
-    else:
-        if float(np.max(np.abs(res))) > tol:
-            raise DecompositionFailureError(
-                f"no convergence after {_MAX_ITER} iterations (|res|_max="
-                f"{float(np.max(np.abs(res))):.3e}, tol={tol:.3e})",
-                state=state, residuals=res, iterations=iterations)
+                iterations=iterations + 1)
 
     return Decomposition(state=state, epsilon=Field(u.grid, u.values - basis.total),
                          ortho_residuals=res, iterations=iterations, basis=basis)

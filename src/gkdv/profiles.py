@@ -22,7 +22,8 @@ SUPPORTED_P = (2, 3, 4)
 
 
 def _check_p(p: int) -> int:
-    if p not in SUPPORTED_P:
+    # an integer only: 2.0 passes `in` but breaks _int_power, and a bool is no exponent
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p not in SUPPORTED_P:
         raise UnsupportedModelError(f"nonlinearity exponent p={p} unsupported; must be one of {SUPPORTED_P}")
     return int(p)
 
@@ -128,16 +129,9 @@ def eval_Qc(p: int, c: float, x, deriv: int = 0):
     p = _check_p(p)
     c = _check_speed(c)
     x = np.asarray(x, dtype=np.float64)
-    rc = np.sqrt(c)
-    # deriv 0 intentionally uses the same floating-point expression as the
-    # scaling identity it must satisfy exactly
-    if deriv == 0:
-        return c ** (1.0 / (p - 1)) * eval_Q(p, rc * x)
-    if deriv == 1:
-        return c ** (1.0 / (p - 1) + 0.5) * eval_Q(p, rc * x, 1)
-    if deriv == 2:
-        return c ** (1.0 / (p - 1) + 1.0) * eval_Q(p, rc * x, 2)
-    raise ParameterError(f"deriv must be 0, 1 or 2, got {deriv}")
+    # the scaling identity's expression, bit for bit (a product commutes exactly);
+    # eval_Q runs first, so a bad deriv raises its ParameterError, never an overflow
+    return eval_Q(p, np.sqrt(c) * x, deriv) * c ** (1.0 / (p - 1) + 0.5 * deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +158,13 @@ def soliton_energy(p: int, c: float) -> float:
 # ---------------------------------------------------------------------------
 # sampled sums on periodic grids
 
-def _seam_tail_fraction(p: int, c: float, grid: Grid) -> float:
-    # relative profile amplitude at the farthest minimal-image distance L/2
-    a = 0.5 * (p - 1)
-    q = 2.0 / (p - 1)
-    return float(_sech(a * np.sqrt(c) * 0.5 * grid.length) ** q)
-
-
 def _check_seam_tails(p: int, speeds, grid: Grid) -> None:
     """soliton_sum's test, also run by config validation: DomainTooSmallError
     when a profile of one of the speeds keeps more than 1e-10 relative
     amplitude at the seam (distance length/2)."""
     for c in speeds:
-        frac = _seam_tail_fraction(p, c, grid)
+        # relative profile amplitude at the farthest minimal-image distance L/2
+        frac = float(_sech(0.5 * (p - 1) * np.sqrt(c) * 0.5 * grid.length) ** (2.0 / (p - 1)))
         if frac > 1e-10:
             raise DomainTooSmallError(
                 f"soliton of speed {c} keeps relative amplitude {frac:.3e} at the periodic seam "
@@ -248,8 +236,9 @@ def soliton_sum(params: ModelParams, state: SolitonState, grid: Grid) -> Field:
 # ---------------------------------------------------------------------------
 # exact multi-soliton family of the quadratic model
 
-def kdv_nsoliton_profile(speeds, phases, t: float, grid: Grid, p: int = 2) -> Field:
-    """Exact N-soliton of u_t + (u_xx + u^2)_x = 0 sampled on the grid.
+def kdv_nsoliton_profile(state: SolitonState, t: float, grid: Grid, p: int = 2) -> Field:
+    """Exact N-soliton of u_t + (u_xx + u^2)_x = 0 sampled on the grid, with
+    speeds c_j and phases y_j the state's speeds and positions.
 
     Determinant expansion evaluated as a softmax variance: with subset slopes
     s and log-weights built from eta_j = k_j (x - c_j t - y_j), k_j = sqrt(c_j),
@@ -258,19 +247,7 @@ def kdv_nsoliton_profile(speeds, phases, t: float, grid: Grid, p: int = 2) -> Fi
     """
     if p != 2:
         raise UnsupportedModelError(f"the exact multi-soliton family exists here only for p=2, got p={p}")
-    c = np.asarray(speeds, dtype=np.float64)
-    y = np.asarray(phases, dtype=np.float64)
-    if c.ndim != 1 or c.size == 0 or y.shape != c.shape:
-        raise ParameterError("speeds and phases must be 1d arrays of equal nonzero length")
-    if not np.all(c > 0) or not np.all(np.isfinite(c)) or not np.all(np.isfinite(y)):
-        raise ParameterError("speeds must be positive finite and phases finite")
-    nsol = c.size
-    if nsol > 1:
-        sep = np.abs(c[:, None] - c[None, :])
-        np.fill_diagonal(sep, np.inf)
-        if sep.min() <= 1e-9 * c.max():
-            raise ParameterError("speeds must be pairwise distinct")
-
+    c, y, nsol = state.speed_array, state.position_array, state.n
     k = np.sqrt(c)
     # pairwise interaction log-coefficients A_ij = 2 log |(k_i - k_j)/(k_i + k_j)|
     A = np.zeros((nsol, nsol))

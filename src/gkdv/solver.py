@@ -58,21 +58,14 @@ def _int_power(v: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-@dataclass(frozen=True)
-class ConservedQuantities:
-    """Mass int u^2 and energy (1/2) int u_x^2 - 1/(p+1) int u^(p+1)."""
-
-    mass: float
-    energy: float
-
-
-def conserved(u: Field, params: ModelParams) -> ConservedQuantities:
+def conserved(u: Field, params: ModelParams) -> tuple[float, float]:
+    """(mass, energy): int u^2 and (1/2) int u_x^2 - 1/(p+1) int u^(p+1)."""
     h = u.grid.spacing
     v = u.values
     mass = h * float(np.sum(v * v))
     ux = u.dx
     energy = h * float(0.5 * np.sum(ux * ux) - np.sum(_int_power(v, params.p + 1)) / (params.p + 1))
-    return ConservedQuantities(mass=mass, energy=energy)
+    return mass, energy
 
 
 def l2_norm(u: Field) -> float:
@@ -326,11 +319,11 @@ def evolve(u0: Field | list, t_final: float, params: ModelParams, dt: float,
                 continue
             times, fields, mass, energy = series[alive[row]]
             u = Field(grid, vals[row])
-            q = conserved(u, params)
+            m, e = conserved(u, params)
             times.append(t)
             finals[alive[row]] = u
-            mass.append(q.mass)
-            energy.append(q.energy)
+            mass.append(m)
+            energy.append(e)
             if keep_fields:
                 fields.append(u)
             if observers[alive[row]] is not None:

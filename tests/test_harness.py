@@ -21,11 +21,10 @@ from gkdv.harness.config import (_DEFAULT_THRESHOLDS, CHECKS, FAMILIES,
                                  PerturbationConfig, SpongeSettings, TrackSettings,
                                  config_from_dict, config_to_dict, load_config,
                                  preset, preset_names, save_config)
-from gkdv.harness.perturbations import (band_noise, make_perturbation,
-                                        smooth_bump)
+from gkdv.harness.perturbations import band_noise, make_perturbation
 from gkdv.harness.runs import execute, write_series_csv
 from gkdv.profiles import SolitonState
-from gkdv.solver import h1_norm
+from gkdv.solver import bump, h1_norm
 
 
 def _cfg(**kw):
@@ -46,6 +45,7 @@ def test_config_accepts_minimal():
 @pytest.mark.parametrize("kw", [
     dict(family="explode"),
     dict(p=5),
+    dict(p=2.0),                                              # a float, not an integer
     dict(speeds=()),
     dict(speeds=(-1.0,)),
     dict(speeds=(2.0, 1.0), positions=(0.0, 10.0)),
@@ -366,13 +366,14 @@ def test_config_to_dict_is_json_ready():
 
 def test_smooth_bump_support():
     grid = Grid(1024, 128.0, -64.0)
-    b = smooth_bump(grid, 10.0, 5.0)
+    b = bump(grid, 10.0, 5.0)
     inside = np.abs(grid.x - 10.0) < 5.0
-    assert np.all(b.values[~inside] == 0.0)
-    assert np.all(b.values[inside] > 0.0)
-    assert abs(b.values[np.argmin(np.abs(grid.x - 10.0))] - 1.0) < 1e-3
-    with pytest.raises(ParameterError):
-        smooth_bump(grid, 0.0, -1.0)
+    assert np.all(b[~inside] == 0.0)
+    assert np.all(b[inside] > 0.0)
+    assert abs(b[np.argmin(np.abs(grid.x - 10.0))] - 1.0) < 1e-3
+    cfg = PerturbationConfig(kind="bump", amplitude=1e-2, width=-1.0, location=0.0)
+    with pytest.raises(ParameterError, match="bump width must be positive"):
+        make_perturbation(cfg, grid, SolitonState((1.0,), (0.0,)))
 
 
 def test_band_noise_spectrum_and_determinism():
@@ -977,11 +978,20 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["decompose", "--config", str(other), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "does not match" in err
+    # 2.0 equals a supported p, but the stepper's powers need an integer
+    float_p = tmp_path / "float_p.json"
+    float_p.write_text(json.dumps({**config_to_dict(preset("single-soliton")), "p": 2.0}))
+    assert main(["simulate", "--config", str(float_p), "--out", str(tmp_path)]) == 2
+    assert "p: nonlinearity exponent p=2.0 unsupported" in capsys.readouterr().err
 
 
-def test_cli_override_validation_failure(tmp_path):
+def test_cli_override_validation_failure(tmp_path, capsys):
     # dt pushed over the stability gate is rejected before any run
     assert main(["simulate", "--dt", "1.0", "--out", str(tmp_path)]) == 2
+    # --alpha turns the preset's "none" into a bump at gap:1, which one soliton lacks
+    assert main(["simulate", "--alpha", "0.01", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "needs two solitons" in err and "perturbation.location" in err
 
 
 def test_cli_rejects_an_ignored_sweep(tmp_path, capsys):

@@ -143,6 +143,29 @@ def test_decompose_failure_carries_state(monkeypatch):
     assert err.value.iterations == 1
 
 
+@pytest.mark.parametrize("guess, error, message, iterations", [
+    (((0.95, 2.3), (-24.4, 18.5)), None, None, 5),
+    (((0.6, 2.2), (-27.0, 18.0)), DecompositionFailureError, "no convergence after 50 iterations", 50),
+    (((0.5, 3.0), (-22.0, 15.0)), DecompositionFailureError,
+     "Newton step failed to decrease the residual after 6 halvings", 9),
+    (((0.3, 1.0), (-25.0, 18.0)), DegenerateConfigurationError,
+     "modulation Jacobian condition number", None),
+], ids=["converges", "no-convergence", "failed-to-decrease", "degenerate"])
+def test_decompose_exits(guess, error, message, iterations):
+    # the four ways out of the Newton loop, on the bumped pair; the
+    # failed-to-decrease guess also sends candidates out of the admissible cone
+    u = Field(GRID, soliton_sum(P2, SolitonState((1.0, 2.2), (-25.0, 18.0)), GRID).values
+              + 1e-3 * np.exp(-(GRID.x - 5.0) ** 2))
+    if error is None:
+        assert decompose(u, SolitonState(*guess), P2).iterations == iterations
+        return
+    with pytest.raises(error) as err:
+        decompose(u, SolitonState(*guess), P2)
+    assert str(err.value).startswith(message)
+    if iterations is not None:
+        assert err.value.iterations == iterations
+
+
 def test_decompose_degenerate_on_empty_field():
     with pytest.raises(DegenerateConfigurationError):
         decompose(Field(GRID, np.zeros(GRID.n)),

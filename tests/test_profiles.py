@@ -69,6 +69,8 @@ def test_bad_inputs():
         eval_Qc(2, -1.0, 0.0)
     with pytest.raises(ParameterError):
         eval_Qc(2, np.inf, 0.0)
+    with pytest.raises(ParameterError):
+        eval_Qc(2, 1.0, 0.0, deriv=3)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +85,10 @@ def test_qc_example_value():
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.7])
 def test_qc_scaling_identity(p, c):
     x = np.linspace(-12.0, 12.0, 241)
-    lhs = eval_Qc(p, c, x)
-    rhs = c ** (1.0 / (p - 1)) * eval_Q(p, np.sqrt(c) * x)
-    assert np.array_equal(lhs, rhs)   # same floating-point expression by design
+    for deriv in (0, 1, 2):
+        lhs = eval_Qc(p, c, x, deriv)
+        rhs = c ** (1.0 / (p - 1) + deriv / 2) * eval_Q(p, np.sqrt(c) * x, deriv)
+        assert np.array_equal(lhs, rhs)   # same floating-point expression by design
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -318,7 +321,7 @@ def test_soliton_sum_rejects_fat_tails():
 def test_nsoliton_single_reduces_to_qc():
     grid = Grid(2048, 256.0, -128.0)
     for c, y, t in [(1.0, 0.0, 0.0), (4.0, -20.0, 3.0), (2.25, 10.0, -2.0)]:
-        prof = kdv_nsoliton_profile((c,), (y,), t, grid)
+        prof = kdv_nsoliton_profile(SolitonState((c,), (y,)), t, grid)
         ref = eval_Qc(2, c, grid.x - c * t - y)
         assert np.max(np.abs(prof.values - ref)) < 1e-12
 
@@ -341,7 +344,7 @@ def test_nsoliton_separated_pair_is_near_sum():
     # the phase parameters are not positions (pairwise log-shifts enter), so
     # locate the solitons by their peaks and compare against a profile sum
     grid = Grid(2048, 256.0, -128.0)
-    prof = kdv_nsoliton_profile((1.0, 4.0), (-40.0, 40.0), 0.0, grid)
+    prof = kdv_nsoliton_profile(SolitonState((1.0, 4.0), (-40.0, 40.0)), 0.0, grid)
     peaks = _peaks(prof, 0.5)
     assert len(peaks) == 2
     (xa, ha), (xb, hb) = sorted(peaks, key=lambda q: q[1])
@@ -354,8 +357,9 @@ def test_nsoliton_separated_pair_is_near_sum():
 
 def test_nsoliton_peaks_travel_at_their_speeds():
     grid = Grid(2048, 256.0, -128.0)
-    f0 = kdv_nsoliton_profile((1.0, 4.0), (-40.0, 40.0), 0.0, grid)
-    f1 = kdv_nsoliton_profile((1.0, 4.0), (-40.0, 40.0), 1.0, grid)
+    pair = SolitonState((1.0, 4.0), (-40.0, 40.0))
+    f0 = kdv_nsoliton_profile(pair, 0.0, grid)
+    f1 = kdv_nsoliton_profile(pair, 1.0, grid)
     p0 = sorted(_peaks(f0, 0.5), key=lambda q: q[1])
     p1 = sorted(_peaks(f1, 0.5), key=lambda q: q[1])
     assert abs((p1[0][0] - p0[0][0]) - 1.0) < 1e-2
@@ -366,26 +370,32 @@ def test_nsoliton_mass_independent_of_time():
     # the exact solution conserves int u^2; evaluate the formula at two times
     grid = Grid(4096, 512.0, -256.0)
     h = grid.spacing
-    m0 = h * np.sum(kdv_nsoliton_profile((1.0, 4.0), (20.0, -20.0), 0.0, grid).values ** 2)
-    m1 = h * np.sum(kdv_nsoliton_profile((1.0, 4.0), (20.0, -20.0), 13.0, grid).values ** 2)
+    pair = SolitonState((1.0, 4.0), (20.0, -20.0))
+    m0 = h * np.sum(kdv_nsoliton_profile(pair, 0.0, grid).values ** 2)
+    m1 = h * np.sum(kdv_nsoliton_profile(pair, 13.0, grid).values ** 2)
     assert abs(m0 - m1) < 1e-9 * m0
 
 
 def test_nsoliton_input_validation():
     grid = Grid(256, 64.0, -32.0)
+    # the state carries the speed and shape rules; the profile keeps p = 2
     with pytest.raises(UnsupportedModelError):
-        kdv_nsoliton_profile((1.0,), (0.0,), 0.0, grid, p=3)
+        kdv_nsoliton_profile(SolitonState((1.0,), (0.0,)), 0.0, grid, p=3)
     with pytest.raises(ParameterError):
-        kdv_nsoliton_profile((2.0, 2.0), (0.0, 10.0), 0.0, grid)
+        kdv_nsoliton_profile(SolitonState((2.0, 2.0), (0.0, 10.0)), 0.0, grid)
     with pytest.raises(ParameterError):
-        kdv_nsoliton_profile((1.0, -4.0), (0.0, 10.0), 0.0, grid)
+        kdv_nsoliton_profile(SolitonState((1.0, -4.0), (0.0, 10.0)), 0.0, grid)
     with pytest.raises(ParameterError):
-        kdv_nsoliton_profile((1.0, 4.0), (0.0,), 0.0, grid)
+        kdv_nsoliton_profile(SolitonState((1.0, 4.0), (0.0,)), 0.0, grid)
 
 
 def test_model_params():
     with pytest.raises(UnsupportedModelError):
         ModelParams(5)
+    for not_an_int in (2.0, True, np.float64(3.0)):   # equal to a supported p, but no integer
+        with pytest.raises(UnsupportedModelError):
+            ModelParams(not_an_int)
+    assert ModelParams(np.int64(3)).p == 3
     with pytest.raises(UnsupportedModelError):
         ModelParams(1)
     assert [ModelParams(p).p for p in (2, 3, 4)] == [2, 3, 4]
