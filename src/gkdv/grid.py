@@ -29,8 +29,11 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or not _is_power_of_two(int(self.n)) or self.n < 256:
             raise ParameterError(f"grid size must be a power of two >= 256, got {self.n}")
-        if not (float(self.length) > 0.0) or not np.isfinite(self.length):
-            raise ParameterError(f"domain length must be positive and finite, got {self.length}")
+        # the step gate cubes the spacing, and that cube must be a finite float
+        if (not (float(self.length) > 0.0) or not np.isfinite(self.length)
+                or self.length / self.n > np.cbrt(np.finfo(float).max)):
+            raise ParameterError(f"domain length must be positive and finite, with a spacing "
+                                 f"whose cube is finite, got {self.length}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "length", float(self.length))
         x0 = -self.length / 2.0 if self.x0 is None else float(self.x0)

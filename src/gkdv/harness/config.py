@@ -1,27 +1,32 @@
 """Experiment configuration: dataclasses, JSON round trip, presets.
 
-Validation builds what execute() builds, with the library's own code:
-ModelParams, SolitonState, the grid, the step-size gate and step lattice of
-the solver, the perturbation, the sponge profile and soliton_sum's seam-tail
-test. A library error comes back as ConfigValidationError, prefixed with the
-config field it concerns. On top of these, each experiment family has its
-own rules. The default thresholds and the checks of every family live here
-too; a config may override the thresholds, and only them.
+Validation checks each field's type against its dataclass annotation, then
+builds what execute() builds, with the library's own code: ModelParams,
+SolitonState, the grid, the solver's step-size gate and step lattice, the
+perturbation, the sponge profile, soliton_sum's seam-tail test, the
+functionals' midpoints and the exact N-soliton. A library error comes back
+as ConfigValidationError, prefixed with the config field it concerns. Each
+family adds its own rules. The default thresholds and the checks of every
+family live here too; a config may override the thresholds, and only them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import cache
 from importlib import resources
-from operator import attrgetter
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from ..errors import ConfigValidationError, GkdvError
+from ..functionals import midpoints
 from ..grid import Grid
-from ..profiles import ModelParams, SolitonState, _check_seam_tails, sigma0_of_speeds
+from ..profiles import (ModelParams, SolitonState, _check_seam_tails, kdv_nsoliton_profile,
+                        sigma0_of_speeds)
 from ..solver import SpongeSettings, check_step_size, sponge_profile, step_counts
 from .perturbations import PerturbationConfig, make_perturbation
 
@@ -90,8 +95,13 @@ CHECKS = {
 # thresholds that a driver divides or steps by
 _POSITIVE_THRESHOLDS = ("ratio_min", "block_time")
 
-# the list fields of a config, held as tuples of floats
-_LIST_FIELDS = ("speeds", "positions", "alphas", "sweep_separations")
+# what a scalar annotation admits and how an error names it; a bool is no number
+_SCALARS = {bool: (bool, "true or false"), int: (numbers.Integral, "an integer"),
+            float: (numbers.Real, "a number"), str: (str, "a string"),
+            type(None): (type(None), "null")}
+
+# the resolved annotations of a config dataclass, {field name: type}
+_field_types = cache(get_type_hints)
 
 
 @dataclass(frozen=True)
@@ -110,18 +120,13 @@ class TrackSettings:
     l_min: float = 0.0
 
 
-# the sub-configs of a config, each a JSON object in a config file
-_SUB_CONFIGS = (("grid", GridConfig), ("perturbation", PerturbationConfig),
-                ("sponge", SpongeSettings), ("track", TrackSettings))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     family: str
     label: str = ""
     p: int = 2
-    speeds: tuple = (1.0,)
-    positions: tuple = (0.0,)
+    speeds: tuple[float, ...] = (1.0,)
+    positions: tuple[float, ...] = (0.0,)
     grid: GridConfig = field(default_factory=GridConfig)
     dt: float = 1e-4
     t_final: float = 10.0
@@ -131,21 +136,14 @@ class ExperimentConfig:
     track: TrackSettings = field(default_factory=TrackSettings)
     y0: float | None = None
     ref_index: int | None = None
-    alphas: tuple = ()                # stability / quadratic-control amplitude limbs
-    sweep_separations: tuple = ()     # monotonicity separation sweep
-    identity_t: float = 1.5           # monotonicity: fine-cadence identity run
+    alphas: tuple[float, ...] = ()             # stability / quadratic-control amplitude limbs
+    sweep_separations: tuple[float, ...] = ()  # monotonicity separation sweep
+    identity_t: float = 1.5                    # monotonicity: fine-cadence identity run
     identity_cadence: float = 0.0025
     write_snapshots: bool = False
-    thresholds: dict = field(default_factory=dict)
+    thresholds: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in _LIST_FIELDS:
-            value = getattr(self, name)
-            try:  # through numpy, so that a string or a scalar is no list
-                object.__setattr__(self, name, tuple(float(v) for v in np.asarray(value, float)))
-            except (TypeError, ValueError) as exc:
-                raise ConfigValidationError(f"{name} must be a list of numbers, "
-                                            f"got {value!r}") from exc
         validate(self)
 
     def with_updates(self, **kw) -> "ExperimentConfig":
@@ -154,6 +152,36 @@ class ExperimentConfig:
 
 def _fail(msg: str):
     raise ConfigValidationError(msg)
+
+
+def _fits(hint, value) -> bool:
+    return isinstance(value, _SCALARS[hint][0]) and (hint is bool or not isinstance(value, bool))
+
+
+def _check_types(obj, prefix: str = "") -> None:
+    """Check the type of each field of the config dataclass obj against its
+    annotation, naming a misfit <prefix><field>, and store a list field as a
+    tuple of floats. Ranges are left to the library rules."""
+    for name, hint in _field_types(type(obj)).items():
+        value, where = getattr(obj, name), prefix + name
+        if is_dataclass(hint):
+            if not isinstance(value, hint):
+                _fail(f"{where} must be an object with keys {sorted(_field_types(hint))}, "
+                      f"got {value!r}")
+            _check_types(value, where + ".")
+        elif get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)) or not all(_fits(float, v) for v in value):
+                _fail(f"{where} must be a list of numbers, got {value!r}")
+            object.__setattr__(obj, name, tuple(float(v) for v in value))
+        elif get_origin(hint) is dict:
+            if not isinstance(value, dict) or not all(
+                    isinstance(k, str) and _fits(float, v) for k, v in value.items()):
+                _fail(f"{where} must map names to numbers, got {value!r}")
+        else:
+            kinds = get_args(hint) or (hint,)
+            if not any(_fits(kind, value) for kind in kinds):
+                _fail(f"{where} must be {' or '.join(_SCALARS[k][1] for k in kinds)}, "
+                      f"got {value!r}")
 
 
 def _built(what: str, build, *args):
@@ -165,20 +193,9 @@ def _built(what: str, build, *args):
         raise ConfigValidationError(f"{what}: {exc}") from exc
 
 
-def _check_common(cfg: ExperimentConfig) -> None:
+def _check_common(cfg: ExperimentConfig) -> tuple[SolitonState, Grid]:
     if cfg.family not in FAMILIES:
         _fail(f"family must be one of {FAMILIES}, got {cfg.family!r}")
-    for name, cls in _SUB_CONFIGS:
-        if not isinstance(getattr(cfg, name), cls):
-            _fail(f"{name} must be an object with keys {sorted(cls.__dataclass_fields__)}, "
-                  f"got {getattr(cfg, name)!r}")
-    for name in ("sponge.enabled", "track.enabled", "write_snapshots"):
-        value = attrgetter(name)(cfg)
-        if not isinstance(value, bool):
-            _fail(f"{name} must be true or false, got {value!r}")
-    if not isinstance(cfg.thresholds, dict) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg.thresholds.values()):
-        _fail(f"thresholds must map names to numbers, got {cfg.thresholds!r}")
     unknown = set(cfg.thresholds) - set(_DEFAULT_THRESHOLDS[cfg.family])
     if unknown:
         _fail(f"unknown {cfg.family} thresholds {sorted(unknown)}; "
@@ -204,6 +221,7 @@ def _check_common(cfg: ExperimentConfig) -> None:
     if cfg.family != "nsoliton":
         _built("grid", _check_seam_tails, cfg.p, cfg.speeds, grid)
 
+    # localized_masses checks these only on sorted positions, which simulate need not have
     if cfg.y0 is not None and not (cfg.y0 > 0):
         _fail(f"y0 must be positive, got {cfg.y0}")
     if cfg.ref_index is not None and not (0 <= cfg.ref_index < state.n):
@@ -221,18 +239,16 @@ def _check_common(cfg: ExperimentConfig) -> None:
         _fail("y0 is read only by a tracked simulate run, and track.enabled is false")
     if cfg.family in TRACKED_FAMILIES and not cfg.track.enabled:
         _fail(f"{cfg.family}: tracking must be enabled (track.enabled)")
+    return state, grid
 
 
-def _check_family(cfg: ExperimentConfig) -> None:
-    n = len(cfg.speeds)
-    if cfg.family == "spectrum":
-        if n > 1 and not np.all(np.diff(cfg.positions) > 0):
-            _fail("spectrum: positions must be sorted increasing")
-    elif cfg.family == "stability":
+def _check_family(cfg: ExperimentConfig, state: SolitonState, grid: Grid) -> None:
+    n = state.n
+    if cfg.family in ("spectrum", "stability"):   # their functionals need sorted positions
+        _built("positions", midpoints, state)
+    if cfg.family == "stability":
         if n < 2:
             _fail(f"stability: need at least 2 solitons, got {n}")
-        if not np.all(np.diff(cfg.positions) > 0):
-            _fail("stability: positions must be sorted increasing")
         if cfg.track.l_min > 0:
             gap = float(np.min(np.diff(cfg.positions)))
             if gap < cfg.track.l_min:
@@ -252,9 +268,16 @@ def _check_family(cfg: ExperimentConfig) -> None:
     elif cfg.family == "monotonicity":
         if n != 2:
             _fail(f"monotonicity: separation sweep is defined for 2 solitons, got {n}")
-        _check_sweep(cfg.sweep_separations, "monotonicity")
-        _built("monotonicity: identity run (identity_t, identity_cadence)", step_counts,
-               cfg.identity_t, cfg.dt, cfg.identity_cadence)
+        seps = np.asarray(cfg.sweep_separations)
+        if seps.size < 2:
+            _fail(f"monotonicity: sweep_separations needs at least 2 values, got {seps.size}")
+        if not np.all(seps > 0) or not np.all(np.diff(seps) > 0):
+            _fail("monotonicity: sweep_separations must be positive and increasing")
+        what = "monotonicity: identity run (identity_t, identity_cadence)"
+        n_steps, every = _built(what, step_counts, cfg.identity_t, cfg.dt, cfg.identity_cadence)
+        if n_steps // every < 4:
+            _fail(f"{what} takes {n_steps // every + 1} snapshots; the fourth-order "
+                  "differences of the rate identity need at least 5")
     elif cfg.family == "quadratic-control":
         if n < 2:
             _fail("quadratic-control: need at least 2 solitons")
@@ -280,8 +303,7 @@ def _check_family(cfg: ExperimentConfig) -> None:
         if cfg.y0 is None:
             _fail("asymptotic: y0 (edge-probe offset) is required")
     elif cfg.family == "nsoliton":
-        if cfg.p != 2:
-            _fail(f"nsoliton: exact multi-soliton references exist only for p=2, got p={cfg.p}")
+        _built("p", kdv_nsoliton_profile, state, 0.0, grid, cfg.p)
         if n < 2:
             _fail("nsoliton: need at least 2 solitons")
 
@@ -294,17 +316,9 @@ def interaction_tail(speeds, gap: float):
     return gamma0, float(np.exp(-gamma0 * gap))
 
 
-def _check_sweep(seps, family: str) -> None:
-    s = np.asarray(seps)
-    if s.size < 2:
-        _fail(f"{family}: sweep_separations needs at least 2 values, got {s.size}")
-    if not np.all(s > 0) or not np.all(np.diff(s) > 0):
-        _fail(f"{family}: sweep_separations must be positive and increasing")
-
-
 def validate(cfg: ExperimentConfig) -> None:
-    _check_common(cfg)
-    _check_family(cfg)
+    _check_types(cfg)
+    _check_family(cfg, *_check_common(cfg))
 
 
 def thresholds_for(cfg: ExperimentConfig) -> dict:
@@ -316,28 +330,22 @@ def thresholds_for(cfg: ExperimentConfig) -> dict:
 # JSON round trip
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    for name in _LIST_FIELDS:
-        d[name] = list(d[name])
-    return d
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - known
+    unknown = set(data) - set(_field_types(ExperimentConfig))
     if unknown:
         _fail(f"unknown config keys: {sorted(unknown)}")
     if "family" not in data:
         _fail("config is missing required key 'family'")
-    for key, cls in _SUB_CONFIGS:
-        if isinstance(data.get(key), dict):
-            sub = data[key]
-            sub_known = set(cls.__dataclass_fields__)
-            sub_unknown = set(sub) - sub_known
+    for key, hint in _field_types(ExperimentConfig).items():
+        if is_dataclass(hint) and isinstance(data.get(key), dict):
+            sub_unknown = set(data[key]) - set(_field_types(hint))
             if sub_unknown:
                 _fail(f"unknown keys in {key}: {sorted(sub_unknown)}")
-            data[key] = cls(**sub)
+            data[key] = hint(**data[key])
     try:
         return ExperimentConfig(**data)
     except TypeError as exc:

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 import sys
 from dataclasses import replace
 from functools import partial
@@ -191,8 +192,10 @@ _SMALL_GRID = {"n": 512, "length": 64.0, "x0": -32.0}
     ({"family": "stability", "speeds": [1.0, 2.0], "positions": [-15.0, 15.0],
       "grid": _SMALL_GRID, "dt": 1e-3, "t_final": 1.0, "alphas": [0.0, 1e-3, 1e-2],
       "perturbation": _NOISE_WITHOUT_MODES}, "perturbation"),
+    # the step-size gate cubes the spacing: an OverflowError and a traceback
+    ({"family": "simulate", "grid": {"length": 1e300}}, "grid"),
 ], ids=["nan-position", "inf-speed", "empty-noise-band", "bump-between-points",
-        "stability-empty-noise-band"])
+        "stability-empty-noise-band", "overflowing-spacing"])
 def test_config_rejects_what_execute_would_fail_on(data, field, tmp_path, monkeypatch):
     with pytest.raises(ConfigValidationError, match=f"^{field}: "):
         config_from_dict(data)
@@ -204,6 +207,43 @@ def test_config_rejects_what_execute_would_fail_on(data, field, tmp_path, monkey
     assert main([data["family"], "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert steps == []
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+# fields that validation did not check against their type: each validated
+# and then crashed, ran on a truncated or coerced value, or failed with a
+# message that named no field
+_PAIR = {"speeds": [1.0, 2.0], "positions": [-30.0, 30.0]}
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"track": {"l_min": "abc"}}, "track.l_min"),     # ValueError in the collector
+    ({"track": {"l_min": [1]}}, "track.l_min"),       # TypeError in the collector
+    ({"y0": 25.0, "ref_index": 0.5}, "ref_index"),    # truncated to soliton 0
+    ({**_PAIR, "y0": 25.0, "ref_index": True}, "ref_index"),   # read as 1
+    ({"y0": True}, "y0"),                             # read as 1
+    ({"grid": {"length": "256"}}, "grid.length"),     # 'malformed config: ufunc ...'
+    ({"grid": {"x0": "-128"}}, "grid.x0"),            # echoed into report.json
+    ({"label": 5}, "label"),
+    ({"perturbation": {"kind": "noise", "amplitude": 1e-3, "seed": 1.5}},
+     "perturbation.seed"),                            # 'malformed config: SeedSequence ...'
+    ({"speeds": ["2"]}, "speeds"),                    # read as 2.0
+    ({"speeds": [True]}, "speeds"),                   # read as 1.0
+    ({"dt": "1e-4"}, "dt"),                           # "malformed config: '>' ..."
+], ids=["l_min-string", "l_min-list", "ref_index-fraction", "ref_index-bool", "y0-bool",
+        "length-string", "x0-string", "label-number", "seed-fraction", "speeds-string",
+        "speeds-bool", "dt-string"])
+def test_config_checks_each_field_against_its_annotation(data, field):
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(field)} must be "):
+        config_from_dict({"family": "simulate", **data})
+
+
+def test_config_rejects_an_identity_run_too_short_for_its_differences():
+    # the rate identity's fourth-order differences have no interior on 4
+    # snapshots; this validated and then failed in np.max of an empty array
+    short = preset("mass-monotonicity").with_updates(t_final=0.5, identity_cadence=0.003)
+    with pytest.raises(ConfigValidationError, match=r"\(identity_t, identity_cadence\) takes 4 "):
+        short.with_updates(identity_t=0.009)
+    short.with_updates(identity_t=0.012)
 
 
 def test_noise_on_one_soliton_validates_and_runs(tmp_path):
@@ -982,7 +1022,7 @@ def test_cli_config_errors(tmp_path, capsys):
     float_p = tmp_path / "float_p.json"
     float_p.write_text(json.dumps({**config_to_dict(preset("single-soliton")), "p": 2.0}))
     assert main(["simulate", "--config", str(float_p), "--out", str(tmp_path)]) == 2
-    assert "p: nonlinearity exponent p=2.0 unsupported" in capsys.readouterr().err
+    assert "p must be an integer, got 2.0" in capsys.readouterr().err
 
 
 def test_cli_override_validation_failure(tmp_path, capsys):
